@@ -1,16 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <string>
 
 #include "common/check.h"
-
-#ifdef __linux__
-#include <sys/syscall.h>
-#include <unistd.h>
-#endif
 
 namespace speck {
 namespace {
@@ -18,19 +12,6 @@ namespace {
 /// True while the current thread executes chunks of some pool's job; nested
 /// parallel_for calls detect this and run inline.
 thread_local bool t_inside_worker = false;
-
-/// NUMA node the calling thread is currently running on, or -1 when the
-/// platform cannot say. The raw syscall avoids a glibc >= 2.29 dependency.
-int current_numa_node() {
-#ifdef __linux__
-  unsigned cpu = 0;
-  unsigned node = 0;
-  if (syscall(SYS_getcpu, &cpu, &node, nullptr) == 0) {
-    return static_cast<int>(node);
-  }
-#endif
-  return -1;
-}
 
 }  // namespace
 
@@ -125,188 +106,6 @@ void ThreadPool::run_chunks(Job& job, int worker) {
     }
   }
   t_inside_worker = false;
-}
-
-std::vector<std::size_t> partition_weights_balanced(
-    std::span<const std::uint64_t> weights, int parts) {
-  SPECK_REQUIRE(parts >= 1, "partition count must be >= 1");
-  std::vector<std::size_t> boundaries(static_cast<std::size_t>(parts) + 1, 0);
-  std::uint64_t total = 0;
-  for (const std::uint64_t w : weights) total += w;
-  std::size_t cursor = 0;
-  std::uint64_t running = 0;
-  for (int p = 0; p < parts; ++p) {
-    boundaries[static_cast<std::size_t>(p)] = cursor;
-    if (p == parts - 1) break;  // last partition takes everything left
-    const std::uint64_t target =
-        total / static_cast<std::uint64_t>(parts) * static_cast<std::uint64_t>(p + 1) +
-        total % static_cast<std::uint64_t>(parts) * static_cast<std::uint64_t>(p + 1) /
-            static_cast<std::uint64_t>(parts);
-    while (cursor < weights.size() && running < target) {
-      running += weights[cursor];
-      ++cursor;
-    }
-  }
-  boundaries[static_cast<std::size_t>(parts)] = weights.size();
-  return boundaries;
-}
-
-void ThreadPool::partitioned_for(std::size_t n, std::size_t chunk,
-                                 std::span<const std::size_t> part_begin_chunk,
-                                 bool steal, const PartitionRangeFn& fn,
-                                 PartitionedRunDiag* diag) {
-  SPECK_REQUIRE(part_begin_chunk.size() >= 2,
-                "partitioned_for needs at least one partition");
-  const int parts = static_cast<int>(part_begin_chunk.size()) - 1;
-  if (chunk == 0) chunk = 1;
-  const std::size_t total_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
-  SPECK_REQUIRE(part_begin_chunk.front() == 0 &&
-                    part_begin_chunk.back() == total_chunks,
-                "partition boundaries must cover [0, total_chunks]");
-  for (int p = 0; p < parts; ++p) {
-    SPECK_REQUIRE(part_begin_chunk[static_cast<std::size_t>(p)] <=
-                      part_begin_chunk[static_cast<std::size_t>(p) + 1],
-                  "partition boundaries must be non-decreasing");
-  }
-  if (diag != nullptr) {
-    diag->team_chunks.assign(static_cast<std::size_t>(parts), 0);
-    diag->team_steals.assign(static_cast<std::size_t>(parts), 0);
-    diag->team_seconds.assign(static_cast<std::size_t>(parts), 0.0);
-    diag->team_numa_nodes.assign(static_cast<std::size_t>(parts), -1);
-  }
-  if (total_chunks == 0) return;
-
-  const auto run_range = [&](std::size_t c, int team, int slot) {
-    const std::size_t begin = c * chunk;
-    fn(begin, std::min(n, begin + chunk), team, slot);
-  };
-
-  // Serial path: ascending chunk order within each partition, partitions in
-  // order — the exact sequence every schedule's per-slot results must match.
-  // Chunks run as their owning team (slot 0) so team-local resources see the
-  // same mapping a fully-staffed run would use.
-  if (thread_count_ == 1 || total_chunks == 1 || t_inside_worker) {
-    for (int p = 0; p < parts; ++p) {
-      const auto start = std::chrono::steady_clock::now();
-      const std::size_t begin = part_begin_chunk[static_cast<std::size_t>(p)];
-      const std::size_t end = part_begin_chunk[static_cast<std::size_t>(p) + 1];
-      for (std::size_t c = begin; c < end; ++c) run_range(c, p, 0);
-      if (diag != nullptr) {
-        diag->team_chunks[static_cast<std::size_t>(p)] = end - begin;
-        diag->team_seconds[static_cast<std::size_t>(p)] =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count();
-        // All teams ran on the calling thread; report its node for each.
-        diag->team_numa_nodes[static_cast<std::size_t>(p)] =
-            current_numa_node();
-      }
-    }
-    return;
-  }
-
-  const int lanes = thread_count_;
-  // Partition-local cursors: a claim is fetch_add + bound check, so every
-  // chunk is claimed exactly once no matter how many lanes race on it.
-  // Losing claims push a cursor past its bound; the clamp below treats
-  // that as "empty".
-  std::vector<std::atomic<std::size_t>> cursor(static_cast<std::size_t>(parts));
-  for (int p = 0; p < parts; ++p) {
-    cursor[static_cast<std::size_t>(p)].store(
-        part_begin_chunk[static_cast<std::size_t>(p)],
-        std::memory_order_relaxed);
-  }
-  const auto remaining = [&](int p) -> std::size_t {
-    const std::size_t end = part_begin_chunk[static_cast<std::size_t>(p) + 1];
-    const std::size_t cur =
-        cursor[static_cast<std::size_t>(p)].load(std::memory_order_relaxed);
-    return cur >= end ? 0 : end - cur;
-  };
-  const auto try_claim = [&](int p) -> std::size_t {
-    const std::size_t end = part_begin_chunk[static_cast<std::size_t>(p) + 1];
-    const std::size_t c = cursor[static_cast<std::size_t>(p)].fetch_add(
-        1, std::memory_order_relaxed);
-    return c < end ? c : total_chunks;  // total_chunks = "partition empty"
-  };
-
-  struct LaneStat {
-    std::size_t chunks = 0;
-    std::size_t steals = 0;
-    double seconds = 0.0;
-    int numa_node = -1;
-  };
-  std::vector<LaneStat> lane_stats(static_cast<std::size_t>(lanes));
-
-  // One pool worker per lane. An exception from `fn` propagates out of the
-  // lane body into parallel_for's first-error capture; the dead lane's
-  // unclaimed chunks are picked up by the other lanes' help loops, so the
-  // run stays work-conserving (all chunks execute, first error rethrown).
-  parallel_for(
-      static_cast<std::size_t>(lanes), 1,
-      [&](std::size_t lane_begin, std::size_t, int) {
-        const int lane = static_cast<int>(lane_begin);
-        const int team = partition_team_of_lane(lane, lanes, parts);
-        const int slot = lane - partition_team_first_lane(team, lanes, parts);
-        const auto start = std::chrono::steady_clock::now();
-        LaneStat& st = lane_stats[static_cast<std::size_t>(lane)];
-        // Drain the home partition first.
-        for (;;) {
-          const std::size_t c = try_claim(team);
-          if (c == total_chunks) break;
-          run_range(c, team, slot);
-          ++st.chunks;
-        }
-        // Then help other partitions until everything is drained. Steal
-        // mode targets the most-loaded victim (whole chunks at a time);
-        // no-steal mode helps in ascending cyclic order. Both loops only
-        // differ in victim choice — completion never depends on the flag.
-        for (;;) {
-          int victim = -1;
-          if (steal) {
-            std::size_t best = 0;
-            for (int p = 0; p < parts; ++p) {
-              if (p == team) continue;
-              const std::size_t left = remaining(p);
-              if (left > best) {
-                best = left;
-                victim = p;
-              }
-            }
-          } else {
-            for (int k = 1; k < parts; ++k) {
-              const int p = (team + k) % parts;
-              if (remaining(p) > 0) {
-                victim = p;
-                break;
-              }
-            }
-          }
-          if (victim < 0) break;
-          const std::size_t c = try_claim(victim);
-          if (c == total_chunks) continue;  // lost the race; rescan victims
-          run_range(c, team, slot);
-          ++st.chunks;
-          ++st.steals;
-        }
-        st.seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-        st.numa_node = current_numa_node();
-      });
-
-  if (diag != nullptr) {
-    for (int lane = 0; lane < lanes; ++lane) {
-      const int team = partition_team_of_lane(lane, lanes, parts);
-      const LaneStat& st = lane_stats[static_cast<std::size_t>(lane)];
-      diag->team_chunks[static_cast<std::size_t>(team)] += st.chunks;
-      diag->team_steals[static_cast<std::size_t>(team)] += st.steals;
-      diag->team_seconds[static_cast<std::size_t>(team)] =
-          std::max(diag->team_seconds[static_cast<std::size_t>(team)], st.seconds);
-      if (st.numa_node >= 0) {
-        diag->team_numa_nodes[static_cast<std::size_t>(team)] = st.numa_node;
-      }
-    }
-  }
 }
 
 void ThreadPool::worker_loop(int worker) {

@@ -27,58 +27,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
 namespace speck {
-
-/// Telemetry from one partitioned_for run. Everything here is
-/// schedule-dependent by construction (wall-clock seconds, which team's
-/// lanes claimed which chunks): it must never feed bit-identity-gated
-/// counters. `team_chunks[t]` counts chunks executed by team t's lanes,
-/// `team_steals[t]` the subset claimed from a foreign partition, and
-/// `team_seconds[t]` the longest lane wall time in team t.
-struct PartitionedRunDiag {
-  std::vector<std::size_t> team_chunks;
-  std::vector<std::size_t> team_steals;
-  std::vector<double> team_seconds;
-  /// NUMA node each team's lanes observed themselves on (getcpu) when their
-  /// run finished; -1 when unknown (non-Linux host, or a team whose lanes
-  /// never ran). Pure telemetry — the OS may migrate threads at any time.
-  std::vector<int> team_numa_nodes;
-};
-
-/// Team of `lane` when `lanes` pool workers split into `parts` teams:
-/// contiguous lane ranges, sizes differing by at most one. With
-/// lanes < parts some teams own no lane; their partitions drain through
-/// the help/steal path.
-constexpr int partition_team_of_lane(int lane, int lanes, int parts) {
-  return static_cast<int>(static_cast<long long>(lane) * parts / lanes);
-}
-
-/// First lane belonging to `team` under the same mapping.
-constexpr int partition_team_first_lane(int team, int lanes, int parts) {
-  return static_cast<int>((static_cast<long long>(team) * lanes + parts - 1) /
-                          parts);
-}
-
-/// Number of lanes assigned to `team` (may be 0 when lanes < parts).
-constexpr int partition_team_lanes(int team, int lanes, int parts) {
-  return partition_team_first_lane(team + 1, lanes, parts) -
-         partition_team_first_lane(team, lanes, parts);
-}
-
-/// Greedy prefix cuts over per-item weights: returns `parts + 1` boundaries
-/// with boundaries[p] <= boundaries[p+1], covering [0, weights.size()).
-/// Partition p is cut as soon as the running weight reaches
-/// total * (p + 1) / parts, so each prefix overshoots its proportional
-/// share by less than one item's weight (the balance bound: at most one
-/// max-weight item of imbalance per cut). Same algorithm as
-/// partition_rows_balanced (speck/multi_gpu.h), operating in chunk space
-/// for partitioned_for. Pure function of (weights, parts).
-std::vector<std::size_t> partition_weights_balanced(
-    std::span<const std::uint64_t> weights, int parts);
 
 class ThreadPool {
  public:
@@ -105,34 +57,6 @@ class ThreadPool {
   /// finish. Nested calls from inside a worker run the loop inline (the
   /// pipeline never needs nested parallelism; this keeps it safe anyway).
   void parallel_for(std::size_t n, std::size_t chunk, const RangeFn& fn);
-
-  /// Loop body for partitioned_for: the half-open index range plus the
-  /// executing team in [0, parts) and the lane's slot within that team.
-  /// At most one chunk runs on a given (team, slot) pair at a time, so
-  /// team-local scratch indexed by slot needs no locking. Stolen chunks
-  /// still run with the thief's own (team, slot) — which workspace
-  /// executes a chunk never influences results.
-  using PartitionRangeFn = std::function<void(
-      std::size_t begin, std::size_t end, int team, int slot)>;
-
-  /// Two-level variant of parallel_for (docs/performance.md "NUMA
-  /// scale-out"): `part_begin_chunk` holds `parts + 1` boundaries in chunk
-  /// space (chunk c covers indices [c*chunk, min(n, (c+1)*chunk))) and the
-  /// pool's workers split into `parts` teams. Each team drains its own
-  /// partition through a partition-local cursor first; a team that
-  /// finishes then claims chunks from other partitions — from the
-  /// most-loaded remaining partition when `steal` is true, in ascending
-  /// cyclic order otherwise. Both modes are work-conserving: every chunk
-  /// is executed exactly once at any thread count, partition count and
-  /// steal schedule. Chunk boundaries remain the same pure function of
-  /// (n, chunk) as parallel_for, so correctly-written bodies (one output
-  /// slot per chunk/index) stay bit-identical regardless of who executes
-  /// what; only `diag` (when non-null) observes the schedule. The first
-  /// exception thrown by a chunk is rethrown after all lanes finish.
-  void partitioned_for(std::size_t n, std::size_t chunk,
-                       std::span<const std::size_t> part_begin_chunk,
-                       bool steal, const PartitionRangeFn& fn,
-                       PartitionedRunDiag* diag = nullptr);
 
  private:
   struct Job {

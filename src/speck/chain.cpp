@@ -1,6 +1,7 @@
 #include "speck/chain.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "matrix/matrix_stats.h"
 
@@ -47,18 +48,8 @@ ChainResult multiply_chain(std::vector<Csr> chain, SpGemmAlgorithm& algorithm) {
   return result;
 }
 
-std::shared_ptr<const SpeckPlan> ChainPlanCache::find(
-    const PlanFingerprint& fp) {
-  return cache_.find(fp);
-}
-
-void ChainPlanCache::insert(SpeckPlan plan) {
-  if (!plan.complete) return;
-  cache_.insert(std::make_shared<const SpeckPlan>(std::move(plan)));
-}
-
 ChainResult multiply_chain(std::vector<Csr> chain, Speck& speck,
-                           ChainPlanCache& cache) {
+                           PlanCache& cache) {
   ChainResult result;
   SPECK_REQUIRE(!chain.empty(), "chain must contain at least one matrix");
   for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
@@ -84,7 +75,10 @@ ChainResult multiply_chain(std::vector<Csr> chain, Speck& speck,
     } else {
       SpeckPlan fresh = speck.plan(a, b, &step);
       fresh.fingerprint = fp;
-      cache.insert(std::move(fresh));
+      // An incomplete plan could never replay; keep it out of the cache.
+      if (fresh.complete) {
+        cache.insert(std::make_shared<const SpeckPlan>(std::move(fresh)));
+      }
     }
     if (!step.ok()) {
       result.status = step.status;

@@ -67,8 +67,6 @@ void validate(const SpeckConfig& config) {
                 std::string("simd_backend '") +
                     simd::backend_name(config.simd_backend) +
                     "' is not available on this CPU");
-  SPECK_REQUIRE(config.partitions >= 0 && config.partitions <= 256,
-                "partitions must be in [0, 256] (0 = SPECK_PARTITIONS / 1)");
   SPECK_REQUIRE(config.estimator_samples >= 1,
                 "estimator_samples must be >= 1");
   SPECK_REQUIRE(config.estimator_safety_margin >= 1.0 &&
@@ -137,16 +135,6 @@ std::string describe(const SpeckConfig& config) {
                     ")"
               : "") +
          "\n";
-  out += "partitions                 = " + std::to_string(config.partitions) +
-         (config.partitions == 0
-              ? " (resolves to " +
-                    std::to_string(resolve_partitions(0)) + ")"
-              : "") +
-         "\n";
-  out += "partition_steal            = " +
-         std::string(config.partition_steal ? "true" : "false") + "\n";
-  out += "numa_local_b               = " +
-         std::string(config.numa_local_b ? "true" : "false") + "\n";
   out += "estimator_samples          = " +
          std::to_string(config.estimator_samples) + "\n";
   out += "estimator_safety_margin    = " +
@@ -197,27 +185,6 @@ PlanningMode resolve_planning(PlanningMode choice) {
     }
   }
   return PlanningMode::kExact;
-}
-
-int resolve_partitions(int partitions) {
-  if (partitions >= 1) return partitions;
-  if (const char* env = std::getenv("SPECK_PARTITIONS")) {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value >= 1 && value <= 256) {
-      return static_cast<int>(value);
-    }
-    // Invalid request from the environment: warn once and fall back to the
-    // flat executor rather than aborting the process.
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "speck: ignoring SPECK_PARTITIONS='%s' (expected an "
-                   "integer in [1, 256]; using 1)\n",
-                   env);
-    }
-  }
-  return 1;
 }
 
 SpeckThresholds reduced_scale_thresholds() {

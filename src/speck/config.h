@@ -119,13 +119,6 @@ const char* planning_mode_name(PlanningMode mode);
 /// modes are returned verbatim. Mirrors simd::resolve_backend.
 PlanningMode resolve_planning(PlanningMode choice);
 
-/// Resolves the effective partition count for the two-level executor
-/// (docs/performance.md "NUMA scale-out"): an explicit `partitions >= 1` is
-/// returned verbatim; 0 resolves via the SPECK_PARTITIONS environment
-/// variable (invalid values warn once on stderr and fall back), defaulting
-/// to 1 — the flat single-cursor executor. Mirrors resolve_planning.
-int resolve_partitions(int partitions);
-
 struct SpeckConfig {
   SpeckThresholds thresholds;
   SpeckFeatures features;
@@ -192,30 +185,6 @@ struct SpeckConfig {
   /// fingerprint: different seeds produce (deterministically) different
   /// estimates, hence potentially different binning.
   std::uint64_t estimator_seed = 0x0CEA0CEA0CEA0CEAull;
-  /// Partitions of the two-level executor (docs/performance.md "NUMA
-  /// scale-out"): pool workers split into per-partition teams, each with a
-  /// partition-local chunk cursor and WorkspacePool; teams that drain their
-  /// partition steal whole chunks from the most-loaded remaining one. The
-  /// partition count, steal schedule and thread count never change results:
-  /// chunk boundaries and output slots stay a pure function of the range,
-  /// so CSR bytes and every PassStats counter are bit-identical — the knob
-  /// (like host_threads) is excluded from the plan fingerprint. 0 resolves
-  /// via SPECK_PARTITIONS, then 1 (today's flat executor). Must be <= 256.
-  int partitions = 0;
-  /// Cross-partition work stealing for the two-level executor. Off, idle
-  /// teams still help drain remaining partitions in ascending order (work
-  /// is conserved either way; only the victim choice differs), which
-  /// isolates the stealing heuristic for benchmarks and tests.
-  bool partition_steal = true;
-  /// With partitions > 1, give every team its own first-touch copy of B:
-  /// team t's lanes copy it inside the team (so on a NUMA host with pinned
-  /// threads the pages land on the team's node) and all of the team's B-row
-  /// gathers — including for stolen chunks — read the local copy. Copies
-  /// are byte-identical, so results are unchanged; this trades memory
-  /// (partitions x B bytes) for locality, analogous to
-  /// MultiGpuConfig::replicate_b. Copies persist across multiplies and
-  /// reuse capacity, keeping the steady state allocation-free.
-  bool numa_local_b = false;
   /// Re-validates the structural invariants of both inputs (and their
   /// within-row sortedness, which the analysis relies on) at the start of
   /// every multiply; violations raise BadInput. Off by default: matrices

@@ -19,62 +19,6 @@
 
 namespace speck {
 
-/// Scale-out telemetry of the two-level executor, accumulated across every
-/// partitioned pass of a multiply (docs/performance.md "NUMA scale-out").
-/// Deliberately separate from PassStats: everything here depends on the
-/// schedule — wall-clock seconds, which team's lanes claimed which chunks —
-/// and must never enter the bit-identity gates.
-struct PartitionDiag {
-  /// Resolved partition count of the run (1 = flat executor, struct empty).
-  int partitions = 1;
-  /// Per-team chunks executed / chunks claimed from foreign partitions /
-  /// longest single-pass lane wall time, summed (seconds: summed maxima)
-  /// over all partitioned pass loops of the multiply.
-  std::vector<std::size_t> team_chunks;
-  std::vector<std::size_t> team_steals;
-  std::vector<double> team_seconds;
-  /// NUMA node each team's lanes last reported running on (-1 unknown — a
-  /// non-Linux host, or a team whose lanes never ran). Like every field
-  /// here this is schedule telemetry: the OS may migrate threads between
-  /// passes, so the value is the last observation, not a binding.
-  std::vector<int> team_numa_nodes;
-
-  std::size_t steal_count() const {
-    std::size_t total = 0;
-    for (const std::size_t s : team_steals) total += s;
-    return total;
-  }
-  /// Max over teams of team_seconds divided by the team average (1.0 =
-  /// perfectly balanced, 0 when nothing ran partitioned).
-  double imbalance_ratio() const {
-    if (team_seconds.empty()) return 0.0;
-    double max = 0.0;
-    double sum = 0.0;
-    for (const double s : team_seconds) {
-      max = max > s ? max : s;
-      sum += s;
-    }
-    const double avg = sum / static_cast<double>(team_seconds.size());
-    return avg > 0.0 ? max / avg : 0.0;
-  }
-  void merge(const PartitionedRunDiag& run) {
-    if (team_chunks.size() < run.team_chunks.size()) {
-      team_chunks.resize(run.team_chunks.size(), 0);
-      team_steals.resize(run.team_steals.size(), 0);
-      team_seconds.resize(run.team_seconds.size(), 0.0);
-      team_numa_nodes.resize(run.team_chunks.size(), -1);
-    }
-    for (std::size_t t = 0; t < run.team_chunks.size(); ++t) {
-      team_chunks[t] += run.team_chunks[t];
-      team_steals[t] += run.team_steals[t];
-      team_seconds[t] += run.team_seconds[t];
-      if (t < run.team_numa_nodes.size() && run.team_numa_nodes[t] >= 0) {
-        team_numa_nodes[t] = run.team_numa_nodes[t];
-      }
-    }
-  }
-};
-
 /// Everything the kernels need; non-owning.
 struct KernelContext {
   const Csr* a = nullptr;
@@ -106,21 +50,6 @@ struct KernelContext {
   /// Resolved SIMD backend (never kAuto) the kernel hot loops dispatch on.
   /// Changes throughput only: results and counters are backend-independent.
   SimdBackend simd = SimdBackend::kScalar;
-  /// Resolved partition count of the two-level executor (never 0; 1 = the
-  /// flat single-cursor path, bit-for-bit today's behavior). Like the SIMD
-  /// backend, partitioning changes host wall time only.
-  int partitions = 1;
-  /// Cross-partition work stealing (vs ascending-order helping).
-  bool partition_steal = true;
-  /// Optional: schedule telemetry sink for partitioned passes (may be null).
-  PartitionDiag* partition_diag = nullptr;
-  /// Optional: partition-local workspace pools. When null and partitions > 1
-  /// the pass driver falls back to a pass-local set (results identical).
-  PartitionWorkspaces* team_workspaces = nullptr;
-  /// Optional: per-team first-touch copies of B (SpeckConfig::numa_local_b);
-  /// when non-null and sized to `partitions`, team t's block bodies read
-  /// (*team_b)[t] instead of *b. Copies are byte-identical to *b.
-  const std::vector<Csr>* team_b = nullptr;
 
   /// Scratchpad capacity after fault injection (identity when none).
   std::size_t effective_capacity(std::size_t capacity) const {

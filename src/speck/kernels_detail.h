@@ -148,55 +148,18 @@ void charge_hash_activity(sim::BlockCost& cost, const Accumulator& acc,
 /// single-threaded run. Per-block heap allocations are accounted into the
 /// block's PassStats (the zero-allocation hot-path metric).
 ///
-/// With ctx.partitions > 1 the blocks of each launch run on the two-level
-/// executor (ThreadPool::partitioned_for): the chunk space is cut into
-/// product-balanced partitions, each partition's team drains it through its
-/// own cursor with partition-local workspaces, and finished teams steal
-/// chunks from the most-loaded remaining partition (docs/performance.md
-/// "NUMA scale-out"). Chunk boundaries and all output slots stay pure
-/// functions of the block list, so results are bit-identical to the flat
-/// path; only ctx.partition_diag observes the schedule.
-///
-/// `run_block(bctx, launch, config, config_index, rows, counters, payload,
-/// ws)` returns the block's sim::BlockCost and must read A/B through `bctx`
-/// (equal to ctx except that on a partitioned run with ctx.team_b set, `b`
-/// points at the executing team's first-touch copy); `commit(payload)` runs
-/// serially per block (pass Payload = std::monostate and a no-op when not
-/// needed).
+/// `run_block(launch, config, config_index, rows, counters, payload, ws)`
+/// returns the block's sim::BlockCost; `commit(payload)` runs serially per
+/// block (pass Payload = std::monostate and a no-op when not needed).
 template <typename Payload, typename RunBlock, typename Commit>
 void execute_block_plan(const KernelContext& ctx, const BinPlan& plan,
                         const char* launch_prefix, PassStats& pass_stats,
                         RunBlock&& run_block, Commit&& commit) {
   ThreadPool& pool = pool_or_global(ctx.pool);
-  const int parts = std::max(1, ctx.partitions);
-  const bool partitioned = parts > 1;
-
   WorkspacePool local_workspaces;
-  WorkspacePool* workspaces = nullptr;
-  PartitionWorkspaces local_team_workspaces;
-  PartitionWorkspaces* team_workspaces = nullptr;
-  std::vector<KernelContext> team_ctx;
-  if (partitioned) {
-    team_workspaces = ctx.team_workspaces != nullptr ? ctx.team_workspaces
-                                                     : &local_team_workspaces;
-    int slots = 1;
-    for (int t = 0; t < parts; ++t) {
-      slots = std::max(slots,
-                       partition_team_lanes(t, pool.thread_count(), parts));
-    }
-    team_workspaces->ensure(parts, slots);
-    team_ctx.assign(static_cast<std::size_t>(parts), ctx);
-    if (ctx.team_b != nullptr &&
-        ctx.team_b->size() == static_cast<std::size_t>(parts)) {
-      for (int t = 0; t < parts; ++t) {
-        team_ctx[static_cast<std::size_t>(t)].b =
-            &(*ctx.team_b)[static_cast<std::size_t>(t)];
-      }
-    }
-  } else {
-    workspaces = ctx.workspaces != nullptr ? ctx.workspaces : &local_workspaces;
-    workspaces->ensure(pool.thread_count());
-  }
+  WorkspacePool* workspaces =
+      ctx.workspaces != nullptr ? ctx.workspaces : &local_workspaces;
+  workspaces->ensure(pool.thread_count());
 
   const auto grouped = blocks_by_config(plan, ctx.configs->size());
   for (std::size_t c = 0; c < ctx.configs->size(); ++c) {
@@ -209,51 +172,21 @@ void execute_block_plan(const KernelContext& ctx, const BinPlan& plan,
     std::vector<std::optional<sim::BlockCost>> costs(blocks.size());
     std::vector<PassStats> block_counters(blocks.size());
     std::vector<Payload> payloads(blocks.size());
-    const auto run_range = [&](std::size_t begin, std::size_t end,
-                               const KernelContext& bctx, KernelWorkspace& ws) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::span<const index_t> rows(
-            plan.row_order.data() + blocks[i]->begin,
-            blocks[i]->end - blocks[i]->begin);
-        const std::size_t allocs_before = alloc_events_now();
-        costs[i] = run_block(bctx, launch, config, static_cast<int>(c), rows,
-                             block_counters[i], payloads[i], ws);
-        block_counters[i].hot_path_allocs += alloc_events_now() - allocs_before;
-      }
-    };
-    if (!partitioned) {
-      pool.parallel_for(blocks.size(), kBlockChunk,
-                        [&](std::size_t begin, std::size_t end, int worker) {
-                          run_range(begin, end, ctx, workspaces->at(worker));
-                        });
-    } else {
-      // Cut the chunk space along the same per-row product weights the
-      // global load balancer bins by (+1 per block so zero-product blocks
-      // still spread by count). Pure function of (plan, parts).
-      const std::size_t total_chunks =
-          (blocks.size() + kBlockChunk - 1) / kBlockChunk;
-      std::vector<std::uint64_t> weights(total_chunks, 0);
-      for (std::size_t i = 0; i < blocks.size(); ++i) {
-        std::uint64_t w = 1;
-        for (std::size_t r = blocks[i]->begin; r < blocks[i]->end; ++r) {
-          w += static_cast<std::uint64_t>(
-              ctx.analysis->products[static_cast<std::size_t>(
-                  plan.row_order[r])]);
-        }
-        weights[i / kBlockChunk] += w;
-      }
-      const std::vector<std::size_t> bounds =
-          partition_weights_balanced(weights, parts);
-      PartitionedRunDiag run_diag;
-      pool.partitioned_for(
-          blocks.size(), kBlockChunk, bounds, ctx.partition_steal,
-          [&](std::size_t begin, std::size_t end, int team, int slot) {
-            run_range(begin, end, team_ctx[static_cast<std::size_t>(team)],
-                      team_workspaces->team(team).at(slot));
-          },
-          ctx.partition_diag != nullptr ? &run_diag : nullptr);
-      if (ctx.partition_diag != nullptr) ctx.partition_diag->merge(run_diag);
-    }
+    pool.parallel_for(
+        blocks.size(), kBlockChunk,
+        [&](std::size_t begin, std::size_t end, int worker) {
+          KernelWorkspace& ws = workspaces->at(worker);
+          for (std::size_t i = begin; i < end; ++i) {
+            const std::span<const index_t> rows(
+                plan.row_order.data() + blocks[i]->begin,
+                blocks[i]->end - blocks[i]->begin);
+            const std::size_t allocs_before = alloc_events_now();
+            costs[i] = run_block(launch, config, static_cast<int>(c), rows,
+                                 block_counters[i], payloads[i], ws);
+            block_counters[i].hot_path_allocs +=
+                alloc_events_now() - allocs_before;
+          }
+        });
     for (std::size_t i = 0; i < blocks.size(); ++i) {
       launch.add(*costs[i]);
       merge_pass_counters(pass_stats, block_counters[i]);

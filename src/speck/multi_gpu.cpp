@@ -79,7 +79,6 @@ SpGemmResult MultiGpuSpeck::multiply(const Csr& a, const Csr& b) {
   const std::size_t devices = partition.size();
   std::vector<Csr> panels(devices);
   std::vector<SpGemmResult> panel_results(devices);
-  std::vector<PartitionDiag> panel_partition(devices);
   diagnostics_.device_seconds.assign(devices, 0.0);
   diagnostics_.device_products.assign(devices, 0);
 
@@ -87,8 +86,7 @@ SpGemmResult MultiGpuSpeck::multiply(const Csr& a, const Csr& b) {
   // other loop in the repo, results are a pure function of the partition,
   // not of the schedule. Each panel gets its own Speck instance (mutable
   // per-multiply state); the pipeline's nested parallel_for calls run
-  // inline on the panel's worker, and with speck.partitions > 1 each
-  // panel's host execution itself goes through the two-level executor.
+  // inline on the panel's worker.
   global_pool().parallel_for(
       devices, 1, [&](std::size_t d, std::size_t, int) {
         const auto [begin, end] = partition[d];
@@ -100,7 +98,6 @@ SpGemmResult MultiGpuSpeck::multiply(const Csr& a, const Csr& b) {
         Speck panel_speck(device_, model_, config_.speck);
         const Csr panel = extract_row_panel(a, begin, end);
         panel_results[d] = panel_speck.multiply(panel, b);
-        panel_partition[d] = panel_speck.last_diagnostics().partition;
       });
 
   double makespan = 0.0;
@@ -133,9 +130,6 @@ SpGemmResult MultiGpuSpeck::multiply(const Csr& a, const Csr& b) {
     makespan = std::max(makespan, seconds);
     total_device_seconds += seconds;
     peak_device_memory = std::max(peak_device_memory, panel_result.peak_memory_bytes);
-    diagnostics_.steal_count += panel_partition[d].steal_count();
-    diagnostics_.worst_imbalance_ratio = std::max(
-        diagnostics_.worst_imbalance_ratio, panel_partition[d].imbalance_ratio());
     panels[d] = std::move(panel_result.c);
   }
   diagnostics_.parallel_efficiency =

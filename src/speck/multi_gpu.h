@@ -39,13 +39,6 @@ struct MultiGpuDiagnostics {
   double remote_reference_fraction = 0.0;
   /// Panel makespan / sum of panel times — parallel efficiency measure.
   double parallel_efficiency = 0.0;
-  /// Host-side two-level executor telemetry aggregated over the panels
-  /// (speck.partitions > 1; zero / 1.0 with the flat executor): total
-  /// chunks teams claimed from foreign partitions, and the worst
-  /// per-panel team-seconds imbalance (docs/performance.md "NUMA
-  /// scale-out"). Schedule-dependent, never part of bit-identity gates.
-  std::size_t steal_count = 0;
-  double worst_imbalance_ratio = 0.0;
 };
 
 class MultiGpuSpeck final : public SpGemmAlgorithm {
@@ -82,9 +75,7 @@ class MultiGpuSpeck final : public SpGemmAlgorithm {
 ///    carries at most total/parts plus the two boundary rows' volumes —
 ///    with one dominating row the panel holding it is (unavoidably) that
 ///    row plus a bounded remainder.
-/// Pure function of (row_products, parts); exposed for tests. The chunk-
-/// space analogue for the two-level executor is
-/// partition_weights_balanced (common/thread_pool.h).
+/// Pure function of (row_products, parts); exposed for tests.
 std::vector<std::pair<index_t, index_t>> partition_rows_balanced(
     std::span<const offset_t> row_products, int parts);
 

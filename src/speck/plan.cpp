@@ -59,12 +59,6 @@ std::uint64_t planning_config_hash(const SpeckConfig& cfg) {
   h = mix(h, cfg.estimator_safety_margin);
   h = mix(h, cfg.estimator_seed);
 
-  // Execution-shape knobs stay out of the hash on purpose, exactly like
-  // host_threads: partitions / partition_steal / numa_local_b only move
-  // work between teams and never change a single output byte or PassStats
-  // counter (the two-level executor's bit-identity invariant), so a plan
-  // built at any partition count replays correctly at every other.
-
   // Only the pipeline-affecting fault fields enter the hash: the serving
   // faults (plan_fail_mod, plan_delay_ms, admission_bytes_scale,
   // evict_every) never change what a plan computes, so hashing them would

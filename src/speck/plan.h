@@ -122,12 +122,6 @@ struct SpeckDiagnostics {
   /// or SpeckConfig::mask): no symbolic pass, no sorting pass, accumulators
   /// sized off min(products, mask_row_nnz).
   bool masked = false;
-  /// Two-level executor telemetry (docs/performance.md "NUMA scale-out"),
-  /// accumulated over every partitioned pass of the multiply. Empty vectors
-  /// with partitions == 1 (the flat executor). Schedule-dependent — team
-  /// seconds, steal counts, imbalance — and therefore deliberately outside
-  /// the bit-identity-gated PassStats counters.
-  PartitionDiag partition;
 };
 
 /// Frozen pattern-dependent state of one (A, B, config) structure: the full
@@ -142,8 +136,7 @@ struct SpeckPlan {
   bool complete = false;
   std::string incomplete_reason;
 
-  // Planning state (structure-only), kept for introspection and so the
-  // executor can keep serving its numeric re-execution interface.
+  // Planning state (structure-only), kept for introspection.
   RowAnalysis analysis;
   BinPlan symbolic_plan;
   BinPlan numeric_plan;

@@ -1,6 +1,5 @@
 #include "speck/service.h"
 
-#include <bit>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -515,17 +514,6 @@ void SpeckService::note_build_diagnostics(const SpeckDiagnostics& diagnostics) {
       static_cast<std::uint64_t>(
           diagnostics.numeric.estimate_underflow_rows),
       std::memory_order_relaxed);
-  partition_steals_.fetch_add(
-      static_cast<std::uint64_t>(diagnostics.partition.steal_count()),
-      std::memory_order_relaxed);
-  const double ratio = diagnostics.partition.imbalance_ratio();
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(ratio);
-  std::uint64_t seen =
-      worst_partition_imbalance_bits_.load(std::memory_order_relaxed);
-  while (bits > seen &&
-         !worst_partition_imbalance_bits_.compare_exchange_weak(
-             seen, bits, std::memory_order_relaxed)) {
-  }
 }
 
 ServiceStats SpeckService::stats() const {
@@ -541,9 +529,6 @@ ServiceStats SpeckService::stats() const {
   out.quarantine_trips = quarantine_trips_.load(std::memory_order_relaxed);
   out.estimator_fallback_rows =
       estimator_fallback_rows_.load(std::memory_order_relaxed);
-  out.partition_steals = partition_steals_.load(std::memory_order_relaxed);
-  out.worst_partition_imbalance = std::bit_cast<double>(
-      worst_partition_imbalance_bits_.load(std::memory_order_relaxed));
   out.cache = cache_.stats();
   return out;
 }

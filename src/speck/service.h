@@ -170,14 +170,6 @@ struct ServiceStats {
   /// planning). High values relative to rows planned mean the estimator's
   /// safety margin is too tight for this workload.
   std::uint64_t estimator_fallback_rows = 0;
-  /// Two-level-executor telemetry from plan builds (SpeckConfig::partitions
-  /// > 1; both stay 0 / 1.0-ish with the flat executor): total chunks teams
-  /// claimed from foreign partitions, and the worst per-build team-seconds
-  /// imbalance (max team seconds / mean). Schedule-dependent diagnostics —
-  /// useful for spotting a skewed corpus or a partition count that outruns
-  /// the thread count, never part of bit-identity gates.
-  std::uint64_t partition_steals = 0;
-  double worst_partition_imbalance = 0.0;
   PlanCacheStats cache;
 };
 
@@ -290,7 +282,7 @@ class SpeckService {
   void note_plan_success(std::uint64_t key);
 
   /// Folds a finished plan build's pipeline diagnostics into the monotonic
-  /// counters (estimator fallbacks, partition steals / imbalance).
+  /// counters (estimator fallbacks).
   void note_build_diagnostics(const SpeckDiagnostics& diagnostics);
 
   Speck& speck_;
@@ -319,11 +311,6 @@ class SpeckService {
   std::atomic<std::uint64_t> degraded_{0};
   std::atomic<std::uint64_t> quarantine_trips_{0};
   std::atomic<std::uint64_t> estimator_fallback_rows_{0};
-  std::atomic<std::uint64_t> partition_steals_{0};
-  /// Bit pattern of the worst imbalance ratio seen so far. Non-negative
-  /// doubles order the same as their bit patterns, so a CAS-max on the
-  /// uint64 representation is a lock-free running maximum.
-  std::atomic<std::uint64_t> worst_partition_imbalance_bits_{0};
 };
 
 }  // namespace speck

@@ -98,22 +98,6 @@ ThreadPool* Speck::host_pool() {
   return pool_.get();
 }
 
-void Speck::ensure_team_b(const Csr& b, const KernelContext& ctx) {
-  const int parts = ctx.partitions;
-  team_b_.resize(static_cast<std::size_t>(parts));
-  // One chunk per partition with identity boundaries: team t's lanes copy
-  // replica t, so (with pinned threads on a NUMA host) the replica's pages
-  // are first-touched on the team's node. Copy-assignment into a retained
-  // replica reuses its vector capacity — no steady-state allocations.
-  std::vector<std::size_t> bounds(static_cast<std::size_t>(parts) + 1);
-  for (int p = 0; p <= parts; ++p) {
-    bounds[static_cast<std::size_t>(p)] = static_cast<std::size_t>(p);
-  }
-  pool_or_global(ctx.pool).partitioned_for(
-      static_cast<std::size_t>(parts), 1, bounds, /*steal=*/false,
-      [&](std::size_t begin, std::size_t, int, int) { team_b_[begin] = b; });
-}
-
 bool Speck::plan_worth_caching(const Csr& a, const Csr& b) const {
   if (static_cast<std::uint64_t>(a.nnz()) >= kMaxReplayIndex ||
       static_cast<std::uint64_t>(b.nnz()) >= kMaxReplayIndex) {
@@ -225,7 +209,11 @@ SpGemmResult Speck::multiply_with_plan(const SpeckPlan& plan, const Csr& a,
                                        const Csr& b) {
   std::string reject = plan_reject_reason(plan, a, b, config_);
   if (reject.empty()) return replay_plan(plan, a, b);
-  SpGemmResult result = multiply_full(a, b, nullptr);
+  // Fall back the way multiply() dispatches: a configured mask still applies.
+  SpGemmResult result =
+      config_.mask != nullptr
+          ? multiply_masked_full(a, b, *config_.mask, nullptr)
+          : multiply_full(a, b, nullptr);
   diagnostics_.plan_fallback = true;
   diagnostics_.plan_fallback_reason = std::move(reject);
   return result;
@@ -418,17 +406,6 @@ SpGemmResult Speck::multiply_full(const Csr& a, const Csr& b,
   ctx.workspaces = &workspaces_;
   ctx.faults = faults;
   ctx.simd = simd::resolve_backend(config_.simd_backend);
-  ctx.partitions = resolve_partitions(config_.partitions);
-  ctx.partition_steal = config_.partition_steal;
-  diagnostics_.partition.partitions = ctx.partitions;
-  ctx.partition_diag = &diagnostics_.partition;
-  if (ctx.partitions > 1) {
-    ctx.team_workspaces = &team_workspaces_;
-    if (config_.numa_local_b) {
-      ensure_team_b(b, ctx);
-      ctx.team_b = &team_b_;
-    }
-  }
 
   if (resolve_planning(config_.planning) == PlanningMode::kEstimated) {
     return multiply_estimated(a, b, capture, cancel, ctx, memory,
@@ -816,17 +793,6 @@ SpGemmResult Speck::multiply_masked_full(const Csr& a, const Csr& b,
   ctx.workspaces = &workspaces_;
   ctx.faults = faults;
   ctx.simd = simd::resolve_backend(config_.simd_backend);
-  ctx.partitions = resolve_partitions(config_.partitions);
-  ctx.partition_steal = config_.partition_steal;
-  diagnostics_.partition.partitions = ctx.partitions;
-  ctx.partition_diag = &diagnostics_.partition;
-  if (ctx.partitions > 1) {
-    ctx.team_workspaces = &team_workspaces_;
-    if (config_.numa_local_b) {
-      ensure_team_b(b, ctx);
-      ctx.team_b = &team_b_;
-    }
-  }
 
   // Stage 1: the same lightweight row analysis as the exact pipeline — the
   // product counts bound the per-row work and cap the accumulator demand.
@@ -994,6 +960,62 @@ Speck::TryMultiplyOutcome Speck::try_multiply(const Csr& a,
     out.status = status_from_current_exception();
   }
   return out;
+}
+
+SymbolicEstimate symbolic_estimate(Speck& speck, const Csr& a, const Csr& b) {
+  SPECK_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
+
+  KernelContext ctx;
+  ctx.a = &a;
+  ctx.b = &b;
+  ctx.cfg = &speck.config();
+  ctx.configs = &speck.configs();
+  ctx.device = &speck.device();
+  ctx.model = &speck.cost_model();
+  ctx.wide_keys = b.cols() > kMaxColumns32Bit;
+  ctx.pool = speck.host_pool();
+  ctx.workspaces = &speck.workspaces();
+  ctx.simd = simd::resolve_backend(speck.config().simd_backend);
+
+  SymbolicEstimate estimate;
+
+  // Analysis.
+  sim::Launch analysis_launch("row_analysis", speck.device(), speck.cost_model());
+  const RowAnalysis analysis = analyze_rows(a, b, analysis_launch, ctx.pool);
+  ctx.analysis = &analysis;
+  estimate.products = analysis.total_products;
+  estimate.seconds += analysis_launch.finish().seconds;
+
+  // Symbolic load balancing + symbolic pass.
+  sim::Launch symbolic_lb("symbolic_lb", speck.device(), speck.cost_model());
+  const BinPlan symbolic_plan =
+      plan_global_lb({std::span<const offset_t>(analysis.products), true},
+                     speck.configs(), speck.config(), symbolic_lb);
+  if (symbolic_plan.used_load_balancer) {
+    estimate.seconds += symbolic_lb.finish().seconds;
+  }
+  SymbolicOutcome symbolic = run_symbolic(ctx, symbolic_plan);
+  estimate.seconds += symbolic.stats.seconds;
+
+  // Numeric load balancing (exact sizes known) — part of what the numeric
+  // pass would consume.
+  std::vector<offset_t> numeric_entries(symbolic.row_nnz.size());
+  for (std::size_t r = 0; r < symbolic.row_nnz.size(); ++r) {
+    numeric_entries[r] = static_cast<offset_t>(
+        static_cast<double>(symbolic.row_nnz[r]) / speck.config().max_numeric_fill +
+        1.0);
+  }
+  sim::Launch numeric_lb("numeric_lb", speck.device(), speck.cost_model());
+  const BinPlan numeric_plan =
+      plan_global_lb({std::span<const offset_t>(numeric_entries), false},
+                     speck.configs(), speck.config(), numeric_lb);
+  if (numeric_plan.used_load_balancer) {
+    estimate.seconds += numeric_lb.finish().seconds;
+  }
+
+  for (const index_t nnz : symbolic.row_nnz) estimate.c_nnz += nnz;
+  estimate.row_nnz = std::move(symbolic.row_nnz);
+  return estimate;
 }
 
 }  // namespace speck

@@ -89,10 +89,10 @@ class Speck final : public SpGemmAlgorithm {
   /// only the numeric + sorting stages). The plan's fingerprint is verified
   /// first — the O(nnz) pattern-hash check under `validate_inputs`, the
   /// O(1) dims/nnz/config check otherwise; a mismatched or incomplete plan
-  /// falls back to the full pipeline and sets
-  /// `last_diagnostics().plan_fallback`. Single-caller API (mutates
-  /// last_diagnostics()/last_trace()); concurrent clients use the const
-  /// overload below.
+  /// falls back to the full pipeline — masked when SpeckConfig::mask is
+  /// set, like multiply() — and sets `last_diagnostics().plan_fallback`.
+  /// Single-caller API (mutates last_diagnostics()/last_trace()); concurrent
+  /// clients use the const overload below.
   SpGemmResult multiply_with_plan(const SpeckPlan& plan, const Csr& a,
                                   const Csr& b);
 
@@ -191,24 +191,12 @@ class Speck final : public SpGemmAlgorithm {
   /// True when the structure is small enough for the transparent cache.
   bool plan_worth_caching(const Csr& a, const Csr& b) const;
 
-  /// Refreshes the per-team B replicas for numa_local_b runs: one
-  /// byte-identical copy of `b` per partition, copied by the owning team's
-  /// lanes so the pages are first-touched locally. Replicas persist across
-  /// multiplies and copy-assignment reuses their capacity, so repeated
-  /// multiplies stay allocation-free in the steady state.
-  void ensure_team_b(const Csr& b, const KernelContext& ctx);
-
   SpeckConfig config_;
   std::vector<KernelConfig> kernel_configs_;
   SpeckDiagnostics diagnostics_;
   sim::LaunchTrace trace_;
   std::unique_ptr<ThreadPool> pool_;
   WorkspacePool workspaces_;
-  /// Partition-local workspace pools of the two-level executor
-  /// (config().partitions > 1); grows monotonically like workspaces_.
-  PartitionWorkspaces team_workspaces_;
-  /// Per-team B replicas (config().numa_local_b); see ensure_team_b.
-  std::vector<Csr> team_b_;
 
   /// Transparent plan cache (config().plan_cache): a structure is planned
   /// once it shows up twice in a row; the plan then lives in a sharded LRU

@@ -1,7 +1,5 @@
 #include "speck/workspace.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace speck {
@@ -27,15 +25,6 @@ WorkspacePool::Lease WorkspacePool::lease() {
 void WorkspacePool::release(KernelWorkspace* ws) {
   std::lock_guard<std::mutex> lock(lease_mutex_);
   idle_.push_back(ws);
-}
-
-void PartitionWorkspaces::ensure(int teams, int slots_per_team) {
-  SPECK_REQUIRE(teams >= 1, "partition workspaces need at least one team");
-  while (teams_.size() < static_cast<std::size_t>(teams)) {
-    teams_.push_back(std::make_unique<WorkspacePool>());
-  }
-  const int slots = std::max(1, slots_per_team);
-  for (auto& pool : teams_) pool->ensure(slots);
 }
 
 }  // namespace speck

@@ -12,7 +12,7 @@
 // single heap allocation.
 //
 // The pool is owned by the Speck instance and survives across multiplies,
-// which is what makes repeated executor/iterative workloads (AMG, Markov
+// which is what makes repeated plan-replay/iterative workloads (AMG, Markov
 // chains) allocation-free in the steady state. Reuse across thread counts is
 // safe: the pool only ever grows, and block-to-worker assignment never
 // influences results (chunk boundaries are a pure function of the range).
@@ -183,29 +183,6 @@ class WorkspacePool {
   std::vector<std::unique_ptr<KernelWorkspace>> slots_;
   std::mutex lease_mutex_;
   std::vector<KernelWorkspace*> idle_;  ///< LIFO free list; guarded above
-};
-
-/// Partition-local workspace pools for the two-level executor
-/// (ThreadPool::partitioned_for): one WorkspacePool per team, indexed by the
-/// lane's slot within the team, so each team's lanes touch only their own
-/// partition's warm buffers (first-touch placement on NUMA hosts). A lane
-/// keeps using its own team's workspace even for stolen chunks — which
-/// workspace runs a chunk never influences results, exactly the invariant
-/// WorkspacePool already documents for worker ids. Grows monotonically like
-/// WorkspacePool: switching partition or thread counts keeps warm buffers.
-class PartitionWorkspaces {
- public:
-  /// Guarantees `teams` pools with at least `slots_per_team` workspaces
-  /// each (each team always has >= 1 slot: the serial path and lane-less
-  /// teams use slot 0). Never shrinks.
-  void ensure(int teams, int slots_per_team);
-
-  WorkspacePool& team(int t) { return *teams_[static_cast<std::size_t>(t)]; }
-
-  int teams() const { return static_cast<int>(teams_.size()); }
-
- private:
-  std::vector<std::unique_ptr<WorkspacePool>> teams_;  // stable addresses
 };
 
 }  // namespace speck

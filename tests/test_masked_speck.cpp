@@ -1,6 +1,6 @@
 // End-to-end tests of the output-masked fast path (Speck::multiply_masked):
 // correctness against the masked Gustavson oracle, bit-identity across
-// thread counts, partition counts and SIMD backends, masked plan replay,
+// thread counts and SIMD backends, masked plan replay,
 // the transparent cache, empty-mask rows, forced spill and input
 // validation. Every comparison uses tolerance 0.0 — the masked kernels,
 // the oracle and the replay all add products into an implicit zero in the
@@ -68,20 +68,19 @@ TEST(MaskedSpeck, TriangleMaskSelfProduct) {
   EXPECT_NEAR(sum / 6.0, 8.0, 1e-12) << "two K4s hold 8 triangles";
 }
 
-/// Bit-identity grid: threads {1, 8} x partitions {1, 4} x every available
-/// SIMD backend. Each cell must equal the serial oracle bitwise, which
-/// makes all cells bitwise-identical to each other.
+/// Bit-identity grid: threads {1, 8} x every available SIMD backend. Each
+/// cell must equal the serial oracle bitwise, which makes all cells
+/// bitwise-identical to each other.
 class MaskedSpeckGrid
-    : public ::testing::TestWithParam<std::tuple<int, int, SimdBackend>> {};
+    : public ::testing::TestWithParam<std::tuple<int, SimdBackend>> {};
 
 TEST_P(MaskedSpeckGrid, BitIdenticalToOracle) {
-  const auto [threads, partitions, backend] = GetParam();
+  const auto [threads, backend] = GetParam();
   if (!simd::backend_available(backend)) {
     GTEST_SKIP() << "backend not available on this CPU";
   }
   SpeckConfig cfg;
   cfg.host_threads = threads;
-  cfg.partitions = partitions;
   cfg.simd_backend = backend;
   Speck speck = make_speck(cfg);
   const Csr a = gen::power_law(500, 500, 7, 1.9, 150, 3013);
@@ -90,8 +89,8 @@ TEST_P(MaskedSpeckGrid, BitIdenticalToOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ThreadsPartitionsSimd, MaskedSpeckGrid,
-    ::testing::Combine(::testing::Values(1, 8), ::testing::Values(1, 4),
+    ThreadsSimd, MaskedSpeckGrid,
+    ::testing::Combine(::testing::Values(1, 8),
                        ::testing::Values(SimdBackend::kScalar,
                                          SimdBackend::kSse,
                                          SimdBackend::kAvx2,
@@ -175,6 +174,24 @@ TEST(MaskedSpeck, PlanRejectedWithoutConfiguredMask) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(speck.last_diagnostics().plan_fallback);
   EXPECT_FALSE(speck.last_diagnostics().plan_fallback_reason.empty());
+}
+
+TEST(MaskedSpeck, PlanFallbackHonorsConfiguredMask) {
+  // A plan rejected because the configured mask differs from the planned
+  // one must fall back the way multiply() dispatches: masked by the
+  // configured mask, never the unmasked product.
+  Speck speck = make_speck();
+  const Csr a = gen::random_uniform(100, 100, 5, 3027);
+  const SpeckPlan plan = speck.plan_masked(a, a, a);
+  ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
+  const Csr other = gen::random_uniform(100, 100, 2, 3029);
+  speck.config().mask = std::make_shared<const Csr>(other);
+  const SpGemmResult result = speck.multiply_with_plan(plan, a, a);
+  ASSERT_TRUE(result.ok()) << result.failure_reason;
+  EXPECT_TRUE(speck.last_diagnostics().plan_fallback);
+  EXPECT_TRUE(speck.last_diagnostics().masked);
+  const auto diff = compare(result.c, masked_spgemm(a, a, other), 0.0);
+  EXPECT_FALSE(diff.has_value()) << diff->description;
 }
 
 TEST(MaskedSpeck, TransparentCacheHitsOnRepeat) {

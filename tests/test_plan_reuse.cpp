@@ -1,5 +1,6 @@
 // Tests for the structure-reuse fast path: Speck::plan /
-// Speck::multiply_with_plan and the transparent single-slot plan cache.
+// Speck::multiply_with_plan, the transparent single-slot plan cache, and
+// the symbolic-only symbolic_estimate.
 //
 // The replay must be *bit-identical* to the full pipeline — same CSR bytes,
 // same PassStats counters — at any thread count, including under forced
@@ -313,6 +314,64 @@ TEST(PlanReuse, PlanReportsByteSizeAndFingerprint) {
                               ? 0
                               : plan.c_row_offsets.back());
   EXPECT_EQ(static_cast<std::size_t>(plan.c_nnz()), plan.c_col_indices.size());
+}
+
+TEST(PlanReuse, PlanPlusReplaySplitsTheFullRun) {
+  // plan() records the structure-only share of the pipeline in
+  // inspect_seconds and a replay charges the rest, so the two together
+  // cover one full multiply.
+  Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{});
+  const Csr a = gen::random_uniform(3000, 3000, 10, 1811);
+  const SpeckPlan plan = sp.plan(a, a);
+  ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
+  const SpGemmResult replay = sp.multiply_with_plan(plan, a, a);
+  ASSERT_TRUE(replay.ok());
+
+  Speck full(sim::DeviceSpec::titan_v(), sim::CostModel{});
+  const SpGemmResult whole = full.multiply(a, a);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_LT(replay.seconds, whole.seconds)
+      << "replay must skip analysis/symbolic/load-balancing time";
+  EXPECT_GT(plan.inspect_seconds, 0.0);
+  EXPECT_NEAR(plan.inspect_seconds + replay.seconds, whole.seconds,
+              whole.seconds * 0.25);
+}
+
+TEST(PlanReuse, PlanRecordsRectangularFingerprint) {
+  Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{});
+  const Csr a = gen::rectangular_lp(60, 500, 6, 1819);
+  const Csr b = transpose(a);
+  const SpeckPlan plan = sp.plan(a, b);
+  EXPECT_EQ(plan.fingerprint.a_rows, 60);
+  EXPECT_EQ(plan.fingerprint.a_cols, 500);
+  EXPECT_EQ(plan.fingerprint.b_cols, 60);
+  EXPECT_EQ(plan.fingerprint.a_nnz, a.nnz());
+  EXPECT_EQ(static_cast<index_t>(plan.row_nnz.size()), a.rows());
+}
+
+TEST(SymbolicEstimate, MatchesOracleCounts) {
+  Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{});
+  const Csr a = gen::power_law(300, 300, 7, 1.8, 80, 1901);
+  const SymbolicEstimate estimate = symbolic_estimate(speck, a, a);
+  const auto expected = gustavson_symbolic(a, a);
+  ASSERT_EQ(estimate.row_nnz.size(), expected.size());
+  offset_t total = 0;
+  for (std::size_t r = 0; r < expected.size(); ++r) {
+    EXPECT_EQ(estimate.row_nnz[r], expected[r]) << "row " << r;
+    total += expected[r];
+  }
+  EXPECT_EQ(estimate.c_nnz, total);
+  EXPECT_GT(estimate.seconds, 0.0);
+  EXPECT_GT(estimate.products, estimate.c_nnz);  // compaction >= 1
+}
+
+TEST(SymbolicEstimate, CheaperThanFullMultiply) {
+  Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{});
+  const Csr a = gen::random_uniform(3000, 3000, 10, 1903);
+  const SymbolicEstimate estimate = symbolic_estimate(speck, a, a);
+  const SpGemmResult full = speck.multiply(a, a);
+  ASSERT_TRUE(full.ok());
+  EXPECT_LT(estimate.seconds, full.seconds);
 }
 
 }  // namespace

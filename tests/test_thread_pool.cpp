@@ -176,264 +176,5 @@ TEST(ThreadPool, ManySmallJobsBackToBack) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Two-level executor: partitioned_for and its helpers.
-
-std::vector<std::size_t> even_bounds(std::size_t chunks, int parts) {
-  std::vector<std::size_t> bounds(static_cast<std::size_t>(parts) + 1);
-  for (int p = 0; p <= parts; ++p) {
-    bounds[static_cast<std::size_t>(p)] =
-        chunks * static_cast<std::size_t>(p) / static_cast<std::size_t>(parts);
-  }
-  return bounds;
-}
-
-TEST(PartitionedFor, CoversEveryIndexExactlyOnce) {
-  for (const int threads : {1, 2, 3, 8}) {
-    ThreadPool pool(threads);
-    for (const int parts : {1, 2, 4, 7}) {
-      for (const bool steal : {false, true}) {
-        for (const std::size_t n :
-             {std::size_t{0}, std::size_t{1}, std::size_t{7},
-              std::size_t{64}, std::size_t{1000}}) {
-          const std::size_t chunk = 13;
-          const std::size_t chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
-          const auto bounds = even_bounds(chunks, parts);
-          std::vector<std::atomic<int>> hits(n);
-          for (auto& h : hits) h.store(0);
-          pool.partitioned_for(
-              n, chunk, bounds, steal,
-              [&](std::size_t begin, std::size_t end, int team, int slot) {
-                ASSERT_GE(team, 0);
-                ASSERT_LT(team, parts);
-                ASSERT_GE(slot, 0);
-                for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-              });
-          for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(hits[i].load(), 1)
-                << "index " << i << " threads=" << threads
-                << " parts=" << parts << " steal=" << steal;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(PartitionedFor, ChunkBoundariesDependOnlyOnNAndChunk) {
-  // Identical (begin, end) pairs regardless of thread count, partition
-  // count or stealing — the determinism contract the pipeline builds on.
-  const std::size_t n = 103;
-  const std::size_t chunk = 10;
-  const std::size_t chunks = (n + chunk - 1) / chunk;
-  auto boundaries = [&](int threads, int parts, bool steal) {
-    ThreadPool pool(threads);
-    std::vector<std::pair<std::size_t, std::size_t>> out(chunks);
-    pool.partitioned_for(n, chunk, even_bounds(chunks, parts), steal,
-                         [&](std::size_t begin, std::size_t end, int, int) {
-                           out[begin / chunk] = {begin, end};
-                         });
-    return out;
-  };
-  const auto serial = boundaries(1, 1, false);
-  ASSERT_EQ(serial.size(), 11u);
-  EXPECT_EQ(serial.front(), (std::pair<std::size_t, std::size_t>{0, 10}));
-  EXPECT_EQ(serial.back(), (std::pair<std::size_t, std::size_t>{100, 103}));
-  for (const int threads : {2, 8}) {
-    for (const int parts : {2, 4}) {
-      for (const bool steal : {false, true}) {
-        EXPECT_EQ(boundaries(threads, parts, steal), serial)
-            << "threads=" << threads << " parts=" << parts
-            << " steal=" << steal;
-      }
-    }
-  }
-}
-
-TEST(PartitionedFor, ChunksStayInsideTheirHomePartitionWithoutHelp) {
-  // With one lane per team and stealing off, every chunk of partition p must
-  // run as team p — until a team finishes its own range and starts helping.
-  // With equal-sized partitions and equal chunks the serial path guarantees
-  // it outright; verify on the serial path where the schedule is fixed.
-  ThreadPool pool(1);
-  const std::size_t chunks = 12;
-  const auto bounds = even_bounds(chunks, 4);
-  std::vector<int> team_of(chunks, -1);
-  pool.partitioned_for(chunks, 1, bounds, false,
-                       [&](std::size_t begin, std::size_t, int team, int) {
-                         team_of[begin] = team;
-                       });
-  for (std::size_t c = 0; c < chunks; ++c) {
-    EXPECT_EQ(team_of[c], static_cast<int>(c / 3)) << "chunk " << c;
-  }
-}
-
-TEST(PartitionedFor, RejectsMalformedBoundaries) {
-  ThreadPool pool(2);
-  const auto body = [](std::size_t, std::size_t, int, int) {};
-  // Too few boundaries.
-  EXPECT_THROW(pool.partitioned_for(
-                   10, 1, std::vector<std::size_t>{0}, false, body),
-               SpeckError);
-  // front != 0.
-  EXPECT_THROW(pool.partitioned_for(
-                   10, 1, std::vector<std::size_t>{1, 10}, false, body),
-               SpeckError);
-  // back != total chunks.
-  EXPECT_THROW(pool.partitioned_for(
-                   10, 1, std::vector<std::size_t>{0, 9}, false, body),
-               SpeckError);
-  // Decreasing.
-  EXPECT_THROW(pool.partitioned_for(
-                   10, 1, std::vector<std::size_t>{0, 7, 5, 10}, false, body),
-               SpeckError);
-}
-
-TEST(PartitionedFor, PropagatesFirstExceptionAndStaysUsable) {
-  ThreadPool pool(4);
-  for (const bool steal : {false, true}) {
-    EXPECT_THROW(
-        pool.partitioned_for(100, 1, even_bounds(100, 4), steal,
-                             [](std::size_t begin, std::size_t, int, int) {
-                               if (begin == 42) throw std::runtime_error("boom");
-                             }),
-        std::runtime_error);
-    std::atomic<int> count{0};
-    pool.partitioned_for(10, 1, even_bounds(10, 2), steal,
-                         [&](std::size_t, std::size_t, int, int) {
-                           count.fetch_add(1);
-                         });
-    EXPECT_EQ(count.load(), 10);
-  }
-}
-
-TEST(PartitionedFor, DiagAccountsForEveryChunk) {
-  for (const int threads : {1, 4}) {
-    for (const bool steal : {false, true}) {
-      ThreadPool pool(threads);
-      const std::size_t chunks = 64;
-      PartitionedRunDiag diag;
-      pool.partitioned_for(chunks, 1, even_bounds(chunks, 4), steal,
-                           [](std::size_t, std::size_t, int, int) {}, &diag);
-      ASSERT_EQ(diag.team_chunks.size(), 4u);
-      ASSERT_EQ(diag.team_steals.size(), 4u);
-      ASSERT_EQ(diag.team_seconds.size(), 4u);
-      std::size_t total = 0;
-      std::size_t steals = 0;
-      for (std::size_t t = 0; t < 4; ++t) {
-        total += diag.team_chunks[t];
-        steals += diag.team_steals[t];
-        EXPECT_LE(diag.team_steals[t], diag.team_chunks[t]);
-        EXPECT_GE(diag.team_seconds[t], 0.0);
-      }
-      EXPECT_EQ(total, chunks);
-      if (threads == 1) EXPECT_EQ(steals, 0u);  // serial path never steals
-    }
-  }
-}
-
-TEST(PartitionedFor, StealingDrainsASkewedPartition) {
-  // All chunks in partition 0: teams 1..3 have nothing of their own and must
-  // help (steal) for the loop to stay work-conserving. Exercises the steal
-  // claim path under real concurrency; coverage is the assertion.
-  ThreadPool pool(4);
-  const std::size_t chunks = 200;
-  const std::vector<std::size_t> bounds{0, chunks, chunks, chunks, chunks};
-  std::vector<std::atomic<int>> hits(chunks);
-  for (auto& h : hits) h.store(0);
-  PartitionedRunDiag diag;
-  pool.partitioned_for(chunks, 1, bounds, true,
-                       [&](std::size_t begin, std::size_t end, int, int) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           hits[i].fetch_add(1);
-                         }
-                       },
-                       &diag);
-  for (std::size_t i = 0; i < chunks; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "chunk " << i;
-  }
-  std::size_t total = 0;
-  for (const std::size_t c : diag.team_chunks) total += c;
-  EXPECT_EQ(total, chunks);
-}
-
-TEST(PartitionTeamMapping, PartitionsLanesContiguously) {
-  for (const int lanes : {1, 2, 4, 7, 16}) {
-    for (const int parts : {1, 2, 3, 4, 9}) {
-      int covered = 0;
-      for (int team = 0; team < parts; ++team) {
-        const int first = partition_team_first_lane(team, lanes, parts);
-        const int width = partition_team_lanes(team, lanes, parts);
-        EXPECT_GE(width, 0);
-        for (int lane = first; lane < first + width; ++lane) {
-          EXPECT_EQ(partition_team_of_lane(lane, lanes, parts), team)
-              << "lane " << lane << " lanes=" << lanes << " parts=" << parts;
-          ++covered;
-        }
-      }
-      EXPECT_EQ(covered, lanes) << "lanes=" << lanes << " parts=" << parts;
-    }
-  }
-}
-
-TEST(PartitionWeightsBalanced, BoundariesAreValidAndBalanced) {
-  const std::vector<std::uint64_t> weights{5, 1, 1, 1, 8, 1, 1, 1, 5, 1};
-  std::uint64_t total = 0;
-  for (const std::uint64_t w : weights) total += w;
-  for (const int parts : {1, 2, 3, 4}) {
-    const auto bounds = partition_weights_balanced(weights, parts);
-    ASSERT_EQ(bounds.size(), static_cast<std::size_t>(parts) + 1);
-    EXPECT_EQ(bounds.front(), 0u);
-    EXPECT_EQ(bounds.back(), weights.size());
-    for (int p = 0; p < parts; ++p) {
-      ASSERT_LE(bounds[static_cast<std::size_t>(p)],
-                bounds[static_cast<std::size_t>(p) + 1]);
-    }
-    // Prefix balance: the first p partitions hold at least their
-    // proportional share minus one item's weight (the greedy cut overshoots
-    // by less than the last item it took).
-    std::uint64_t prefix = 0;
-    std::size_t item = 0;
-    for (int p = 0; p < parts; ++p) {
-      while (item < bounds[static_cast<std::size_t>(p) + 1]) {
-        prefix += weights[item++];
-      }
-      const std::uint64_t target =
-          total / static_cast<std::uint64_t>(parts) *
-              static_cast<std::uint64_t>(p + 1) +
-          total % static_cast<std::uint64_t>(parts) *
-              static_cast<std::uint64_t>(p + 1) /
-              static_cast<std::uint64_t>(parts);
-      EXPECT_GE(prefix, target) << "parts=" << parts << " p=" << p;
-    }
-  }
-}
-
-TEST(PartitionWeightsBalanced, DegenerateInputs) {
-  // Empty weights: every partition is empty.
-  const auto empty = partition_weights_balanced({}, 3);
-  EXPECT_EQ(empty, (std::vector<std::size_t>{0, 0, 0, 0}));
-  // All-zero weights: everything lands somewhere; bounds stay valid.
-  const std::vector<std::uint64_t> zeros(5, 0);
-  const auto z = partition_weights_balanced(zeros, 2);
-  ASSERT_EQ(z.size(), 3u);
-  EXPECT_EQ(z.front(), 0u);
-  EXPECT_EQ(z.back(), 5u);
-  // More partitions than items: trailing partitions come back empty.
-  const std::vector<std::uint64_t> two{1, 1};
-  const auto wide = partition_weights_balanced(two, 5);
-  ASSERT_EQ(wide.size(), 6u);
-  EXPECT_EQ(wide.front(), 0u);
-  EXPECT_EQ(wide.back(), 2u);
-  for (std::size_t p = 0; p + 1 < wide.size(); ++p) {
-    ASSERT_LE(wide[p], wide[p + 1]);
-  }
-  // One giant item: the partition holding it takes the overshoot alone.
-  const std::vector<std::uint64_t> giant{1, 1000, 1, 1};
-  const auto g = partition_weights_balanced(giant, 2);
-  ASSERT_EQ(g.size(), 3u);
-  EXPECT_GE(g[1], 2u);  // the cut lands at or after the giant item
-}
-
 }  // namespace
 }  // namespace speck

@@ -3,7 +3,7 @@
 //
 //   runspeck <path-to-matrix.mtx> [config.ini] [--threads N]
 //            [--fault-spec SPEC] [--validate] [--simd BACKEND]
-//            [--planning MODE] [--partitions N]
+//            [--planning MODE]
 //
 // `--threads N` sets the host thread pool the pipeline stages run on (the
 // result and the simulated times are bit-identical for every N; only host
@@ -74,11 +74,6 @@ void print_usage(const char* prog, std::FILE* out) {
       "                     exact). Estimated planning samples row products\n"
       "                     instead of running the exact symbolic pass;\n"
       "                     results are bit-identical either way\n"
-      "  --partitions N     two-level executor: group the worker threads into\n"
-      "                     N partition-local teams with cross-partition work\n"
-      "                     stealing (default auto — the SPECK_PARTITIONS env\n"
-      "                     var, then 1 = flat pool). Results are\n"
-      "                     bit-identical for every N\n"
       "  --mask PATH        output-masked multiply C = (A*B) .* mask(PATH):\n"
       "                     the .mtx pattern at PATH (shape rows(A) x cols(B))\n"
       "                     restricts which C positions are computed; the\n"
@@ -102,7 +97,6 @@ int run(int argc, char** argv) {
   using namespace speck;
   // Split off the flags; everything else keeps positional meaning.
   int flag_threads = 0;
-  int flag_partitions = 0;
   bool flag_validate = false;
   SimdBackend flag_simd = SimdBackend::kAuto;
   PlanningMode flag_planning = PlanningMode::kAuto;
@@ -184,16 +178,6 @@ int run(int argc, char** argv) {
       ++i;
       continue;
     }
-    if (std::strcmp(argv[i], "--partitions") == 0) {
-      flag_partitions = i + 1 < argc ? std::atoi(argv[i + 1]) : -1;
-      if (flag_partitions < 1 || flag_partitions > 256) {
-        std::fprintf(stderr,
-                     "--partitions requires an integer in [1, 256]\n");
-        return 2;
-      }
-      ++i;
-      continue;
-    }
     args.push_back(argv[i]);
   }
   const int nargs = static_cast<int>(args.size());
@@ -219,8 +203,6 @@ int run(int argc, char** argv) {
   std::printf("planning: %s (requested %s)\n",
               planning_mode_name(resolve_planning(flag_planning)),
               planning_mode_name(flag_planning));
-  std::printf("partitions: %d%s\n", resolve_partitions(flag_partitions),
-              flag_partitions == 0 ? " (auto)" : "");
   const bool track_complete = config.get_bool("TrackCompleteTimes", true);
   const bool track_individual = config.get_bool("TrackIndividualTimes", false);
   const bool compare_result = config.get_bool("CompareResult", false);
@@ -259,7 +241,6 @@ int run(int argc, char** argv) {
     speck_ptr->config().validate_inputs = flag_validate;
     speck_ptr->config().simd_backend = flag_simd;
     speck_ptr->config().planning = flag_planning;
-    speck_ptr->config().partitions = flag_partitions;
     speck_ptr->config().faults = fault_spec;
     speck_ptr->config().plan_cache = config.get_bool("PlanCache", true);
     speck_ptr->config().plan_cache_limit_bytes = static_cast<std::size_t>(
@@ -270,10 +251,9 @@ int run(int argc, char** argv) {
       std::printf("fault injection: %s\n", describe(fault_spec).c_str());
     }
   } else if (fault_spec.enabled() || flag_validate ||
-             flag_planning != PlanningMode::kAuto || flag_partitions != 0 ||
-             mask != nullptr) {
+             flag_planning != PlanningMode::kAuto || mask != nullptr) {
     std::fprintf(stderr,
-                 "--fault-spec/--validate/--planning/--partitions/--mask only "
+                 "--fault-spec/--validate/--planning/--mask only "
                  "apply to Algorithm=speck (got %s)\n",
                  algorithm_name.c_str());
     return 2;
@@ -312,21 +292,6 @@ int run(int argc, char** argv) {
                 "estimate and re-ran the exact fallback\n",
                 static_cast<long long>(
                     speck_ptr->last_diagnostics().numeric.estimate_underflow_rows));
-  }
-  if (speck_ptr != nullptr &&
-      speck_ptr->last_diagnostics().partition.partitions > 1) {
-    const auto& part = speck_ptr->last_diagnostics().partition;
-    std::printf("partitions: %d team(s), %zu stolen chunk(s), "
-                "imbalance ratio %.2f\n",
-                part.partitions, part.steal_count(), part.imbalance_ratio());
-    std::string nodes;
-    for (std::size_t t = 0; t < part.team_numa_nodes.size(); ++t) {
-      if (t > 0) nodes += " ";
-      nodes += part.team_numa_nodes[t] >= 0
-                   ? std::to_string(part.team_numa_nodes[t])
-                   : "?";
-    }
-    std::printf("partition numa nodes: [%s]\n", nodes.c_str());
   }
   if (speck_ptr != nullptr && speck_ptr->last_diagnostics().plan_cache_hit) {
     std::printf(

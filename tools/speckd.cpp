@@ -91,13 +91,6 @@ void print_usage(const char* prog, std::FILE* out) {
       "                       bit-identical either way, and rows whose sampled\n"
       "                       estimate underflowed are reported as\n"
       "                       estimator_fallback_rows\n"
-      "  --partitions N       two-level executor partitions for cold-miss plan\n"
-      "                       builds (default 1 = flat). N > 1 also lifts the\n"
-      "                       build thread pinning so builds use the process\n"
-      "                       default pool (SPECK_THREADS); replays stay on the\n"
-      "                       calling client thread either way. Steal and\n"
-      "                       imbalance telemetry lands in partition_steals /\n"
-      "                       worst_partition_imbalance\n"
       "  --masked             serve output-masked products C = (p*p) .* M\n"
       "                       against one shared band mask M (patterns are\n"
       "                       forced to a single size so M applies to all);\n"
@@ -334,8 +327,6 @@ void emit_phase(const std::string& prefix, const PhaseResult& r) {
   emit_count(prefix + "degraded", r.stats.degraded);
   emit_count(prefix + "quarantine_trips", r.stats.quarantine_trips);
   emit_count(prefix + "estimator_fallback_rows", r.stats.estimator_fallback_rows);
-  emit_count(prefix + "partition_steals", r.stats.partition_steals);
-  emit(prefix + "worst_partition_imbalance", r.stats.worst_partition_imbalance);
   emit_count(prefix + "deadline_exceeded", r.deadline_exceeded);
   emit_count(prefix + "resource_exhausted", r.resource_exhausted);
   emit_count(prefix + "injected_failures", r.injected_failures);
@@ -386,7 +377,6 @@ int main(int argc, char** argv) {
   double deadline_ms = 0.0;
   double chaos_p99_factor = 2.0;
   PlanningMode planning = PlanningMode::kAuto;
-  int partitions = 1;
   std::string fault_spec_text;
   std::uint64_t seed = 42;
   for (int i = 1; i < argc; ++i) {
@@ -437,8 +427,6 @@ int main(int argc, char** argv) {
       validate = true;
     } else if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
-    } else if (std::strcmp(argv[i], "--partitions") == 0 && i + 1 < argc) {
-      partitions = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--help") == 0) {
@@ -450,7 +438,7 @@ int main(int argc, char** argv) {
     }
   }
   if (threads < 1 || requests == 0 || pattern_count == 0 ||
-      chaos_p99_factor <= 0.0 || partitions < 1) {
+      chaos_p99_factor <= 0.0) {
     print_usage(argv[0], stderr);
     return 2;
   }
@@ -472,12 +460,6 @@ int main(int argc, char** argv) {
     cfg.mask = mask;
     cfg.host_threads = 1;  // replays run serially per client thread
     cfg.plan_cache = false;  // the service owns the cache
-    cfg.partitions = partitions;
-    if (partitions > 1) {
-      // The two-level executor needs the real pool to form teams; replays
-      // are unaffected (they always run on the calling client thread).
-      cfg.host_threads = 0;
-    }
     cfg.validate_inputs = validate;
     cfg.planning = planning;
 
@@ -571,7 +553,6 @@ int main(int argc, char** argv) {
     std::printf("tool=speckd\n");
     emit_count("threads", static_cast<std::size_t>(threads));
     emit_count("patterns", pattern_count);
-    emit_count("partitions", static_cast<std::size_t>(partitions));
     emit("zipf_s", zipf_s);
     emit_phase("", base);
 

@@ -1,7 +1,7 @@
 // tricount — triangle counting through the output-masked SpGEMM fast path:
 //
-//   tricount [--rmat SCALE] [--edge-factor E] [--threads N] [--partitions N]
-//            [--seed N] [--iters N] [--no-corpus] [--full-compare]
+//   tricount [--rmat SCALE] [--edge-factor E] [--threads N] [--seed N]
+//            [--iters N] [--no-corpus] [--full-compare]
 //            [graph.mtx ...]
 //
 // For each graph the tool symmetrizes the input into an undirected
@@ -56,7 +56,6 @@ void print_usage(const char* prog, std::FILE* out) {
       "                   (default 13; 0 disables)\n"
       "  --edge-factor E  R-MAT edges per vertex (default 8)\n"
       "  --threads N      host threads (default SPECK_THREADS/auto)\n"
-      "  --partitions N   two-level executor partitions (default auto)\n"
       "  --seed N         R-MAT seed (default 7)\n"
       "  --iters N        timed iterations per graph, best-of (default 3)\n"
       "  --no-corpus      skip the synthetic corpus stand-ins\n"
@@ -127,7 +126,6 @@ int main(int argc, char** argv) {
   int rmat_scale = 13;
   index_t edge_factor = 8;
   int threads = 0;
-  int partitions = 0;
   std::uint64_t seed = 7;
   int iters = 3;
   bool use_corpus = true;
@@ -140,8 +138,6 @@ int main(int argc, char** argv) {
       edge_factor = static_cast<index_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--partitions") == 0 && i + 1 < argc) {
-      partitions = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
@@ -188,7 +184,6 @@ int main(int argc, char** argv) {
 
     SpeckConfig cfg;
     cfg.host_threads = threads;
-    cfg.partitions = partitions;
     Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
 
     std::printf(" %-14s %9s %11s %11s %12s", "graph", "vertices", "edges",
