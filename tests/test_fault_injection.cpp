@@ -7,11 +7,15 @@
 // under deliberately hostile estimates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "gen/corpus.h"
+#include "gen/generators.h"
 #include "matrix/ops.h"
 #include "ref/gustavson.h"
 #include "speck/speck.h"
@@ -193,6 +197,156 @@ TEST(FaultInjector, OverflowThresholdAndMemoryCap) {
   EXPECT_EQ(injector.cap_memory(5000), 1000u);
   EXPECT_EQ(injector.cap_memory(500), 500u);
   EXPECT_EQ(FaultInjector(FaultSpec{}).cap_memory(5000), 5000u);
+}
+
+// Memory-budget sweep: caps the simulated device memory at a fixed grid of
+// budgets between 1 byte and the successful run's peak, and pins the
+// ordered run-length sequence of failure_reason values ("" = success) to a
+// golden table. The sequence is a fingerprint of the order and size of
+// every device reservation a pipeline makes, so any reordering of the
+// reservations — or a changed reason string — shows up here.
+enum class SweepMode { kExact, kEstimated, kMasked };
+
+using ReasonRuns = std::vector<std::pair<std::string, int>>;
+
+constexpr int kSweepSteps = 256;
+
+const Csr& sweep_input() {
+  // A few rows long enough to outgrow the largest scratchpad map give both
+  // passes a global hash pool; the forced load balancer and the hash-only
+  // accumulation below keep every reservation of the pipelines in play.
+  static const Csr a = gen::skewed_rows(3000, 3000, 0.001, 2800, 6, 4101);
+  return a;
+}
+
+const std::shared_ptr<const Csr>& sweep_mask() {
+  static const auto mask =
+      std::make_shared<const Csr>(gen::random_uniform(3000, 3000, 40, 4103));
+  return mask;
+}
+
+SpeckConfig sweep_config(SweepMode mode, std::size_t budget) {
+  SpeckConfig cfg;
+  cfg.plan_cache = false;
+  cfg.planning = mode == SweepMode::kEstimated ? PlanningMode::kEstimated
+                                               : PlanningMode::kExact;
+  cfg.features.set_global_lb(GlobalLbMode::kAlwaysOn);
+  cfg.features.dense_accumulation = false;
+  cfg.faults.memory_budget_bytes = budget;
+  if (mode == SweepMode::kMasked) cfg.mask = sweep_mask();
+  return cfg;
+}
+
+/// One full run (`plan == nullptr`) or one replay of `*plan` under `budget`
+/// bytes of device memory (0 = uncapped).
+SpGemmResult budgeted_run(SweepMode mode, std::size_t budget, SpeckPlan* plan) {
+  Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{},
+              sweep_config(mode, budget));
+  const Csr& a = sweep_input();
+  if (plan == nullptr) return speck.multiply(a, a);
+  // The budget joins the planning-config hash but never changes what the
+  // plan computes: re-stamp the hash so the same plan replays under each.
+  plan->fingerprint.config_hash = planning_config_hash(speck.config());
+  SpGemmResult result = speck.multiply_with_plan(*plan, a, a);
+  EXPECT_TRUE(speck.last_diagnostics().plan_used);
+  EXPECT_FALSE(speck.last_diagnostics().plan_fallback)
+      << speck.last_diagnostics().plan_fallback_reason;
+  return result;
+}
+
+void expect_budget_sweep(SweepMode mode, bool replay, const ReasonRuns& golden) {
+  SpeckPlan plan;
+  if (replay) {
+    Speck planner(sim::DeviceSpec::titan_v(), sim::CostModel{},
+                  sweep_config(mode, 0));
+    const Csr& a = sweep_input();
+    plan = mode == SweepMode::kMasked ? planner.plan_masked(a, a, *sweep_mask())
+                                      : planner.plan(a, a);
+    ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
+  }
+  SpeckPlan* replayed = replay ? &plan : nullptr;
+  const SpGemmResult uncapped = budgeted_run(mode, 0, replayed);
+  ASSERT_TRUE(uncapped.ok()) << uncapped.failure_reason;
+  const std::size_t peak = uncapped.peak_memory_bytes;
+  ASSERT_GT(peak, 1u);
+
+  EXPECT_TRUE(budgeted_run(mode, peak, replayed).ok())
+      << "a budget of exactly the peak must suffice";
+  const SpGemmResult short_by_one = budgeted_run(mode, peak - 1, replayed);
+  EXPECT_EQ(short_by_one.status, SpGemmStatus::kOutOfMemory)
+      << "one byte below the peak must fail";
+
+  ReasonRuns runs;
+  for (int i = 0; i <= kSweepSteps; ++i) {
+    // Budget 0 means "uncapped", so the grid starts at 1 byte.
+    const std::size_t budget = std::max<std::size_t>(
+        1, peak * static_cast<std::size_t>(i) / kSweepSteps);
+    const SpGemmResult result = budgeted_run(mode, budget, replayed);
+    EXPECT_EQ(result.ok(), result.failure_reason.empty()) << budget;
+    if (!runs.empty() && runs.back().first == result.failure_reason) {
+      ++runs.back().second;
+    } else {
+      runs.emplace_back(result.failure_reason, 1);
+    }
+  }
+  EXPECT_EQ(runs, golden);
+  // The reservation that sets the peak is the one a budget one byte short
+  // trips, and it is also the last failure on the grid.
+  ASSERT_GE(golden.size(), 2u);
+  EXPECT_EQ(short_by_one.failure_reason, golden[golden.size() - 2].first);
+}
+
+TEST(MemoryBudgetSweep, ExactFullRun) {
+  expect_budget_sweep(SweepMode::kExact, /*replay=*/false,
+                      {{"input matrices exceed device memory", 43},
+                       {"row analysis buffers exceed device memory", 3},
+                       {"load balancer buffers exceed device memory", 1},
+                       {"global hash pool exceeds device memory", 25},
+                       {"output matrix exceeds device memory", 111},
+                       {"global hash pool exceeds device memory", 73},
+                       {"", 1}});
+}
+
+TEST(MemoryBudgetSweep, EstimatedFullRun) {
+  expect_budget_sweep(SweepMode::kEstimated, /*replay=*/false,
+                      {{"input matrices exceed device memory", 35},
+                       {"row estimation buffers exceed device memory", 4},
+                       {"load balancer buffers exceed device memory", 1},
+                       {"estimated output staging exceeds device memory", 105},
+                       {"output matrix exceeds device memory", 111},
+                       {"", 1}});
+}
+
+TEST(MemoryBudgetSweep, MaskedFullRun) {
+  expect_budget_sweep(SweepMode::kMasked, /*replay=*/false,
+                      {{"input matrices exceed device memory", 153},
+                       {"row analysis buffers exceed device memory", 5},
+                       {"load balancer buffers exceed device memory", 1},
+                       {"masked output staging exceeds device memory", 94},
+                       {"output matrix exceeds device memory", 3},
+                       {"", 1}});
+}
+
+TEST(MemoryBudgetSweep, ExactReplay) {
+  expect_budget_sweep(SweepMode::kExact, /*replay=*/true,
+                      {{"input matrices exceed device memory", 44},
+                       {"output matrix exceeds device memory", 138},
+                       {"global hash pool exceeds device memory", 74},
+                       {"", 1}});
+}
+
+TEST(MemoryBudgetSweep, EstimatedReplay) {
+  expect_budget_sweep(SweepMode::kEstimated, /*replay=*/true,
+                      {{"input matrices exceed device memory", 61},
+                       {"output matrix exceeds device memory", 195},
+                       {"", 1}});
+}
+
+TEST(MemoryBudgetSweep, MaskedReplay) {
+  expect_budget_sweep(SweepMode::kMasked, /*replay=*/true,
+                      {{"input matrices exceed device memory", 238},
+                       {"output matrix exceeds device memory", 18},
+                       {"", 1}});
 }
 
 }  // namespace

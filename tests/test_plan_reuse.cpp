@@ -8,7 +8,9 @@
 // detected and fall back to the full pipeline, never produce wrong values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "common/alloc_counter.h"
@@ -319,22 +321,50 @@ TEST(PlanReuse, PlanReportsByteSizeAndFingerprint) {
 TEST(PlanReuse, PlanPlusReplaySplitsTheFullRun) {
   // plan() records the structure-only share of the pipeline in
   // inspect_seconds and a replay charges the rest, so the two together
-  // cover one full multiply.
-  Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{});
+  // cover one full multiply — in every planning mode, masked included.
   const Csr a = gen::random_uniform(3000, 3000, 10, 1811);
-  const SpeckPlan plan = sp.plan(a, a);
-  ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
-  const SpGemmResult replay = sp.multiply_with_plan(plan, a, a);
-  ASSERT_TRUE(replay.ok());
+  const Csr mask = gen::random_uniform(3000, 3000, 12, 1813);
+  enum class Mode { kExact, kEstimated, kMasked };
+  for (const Mode mode : {Mode::kExact, Mode::kEstimated, Mode::kMasked}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    SpeckConfig cfg;
+    cfg.planning = mode == Mode::kEstimated ? PlanningMode::kEstimated
+                                            : PlanningMode::kExact;
+    Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+    const SpeckPlan plan =
+        mode == Mode::kMasked ? sp.plan_masked(a, a, mask) : sp.plan(a, a);
+    ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
+    if (mode == Mode::kMasked) cfg.mask = std::make_shared<const Csr>(mask);
+    sp.config() = cfg;
+    const SpGemmResult replay = sp.multiply_with_plan(plan, a, a);
+    ASSERT_TRUE(replay.ok());
+    ASSERT_FALSE(sp.last_diagnostics().plan_fallback);
 
-  Speck full(sim::DeviceSpec::titan_v(), sim::CostModel{});
-  const SpGemmResult whole = full.multiply(a, a);
-  ASSERT_TRUE(whole.ok());
-  EXPECT_LT(replay.seconds, whole.seconds)
-      << "replay must skip analysis/symbolic/load-balancing time";
-  EXPECT_GT(plan.inspect_seconds, 0.0);
-  EXPECT_NEAR(plan.inspect_seconds + replay.seconds, whole.seconds,
-              whole.seconds * 0.25);
+    Speck full(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+    const SpGemmResult whole = full.multiply(a, a);
+    ASSERT_TRUE(whole.ok());
+    EXPECT_LT(replay.seconds, whole.seconds)
+        << "replay must skip analysis/symbolic/load-balancing time";
+    EXPECT_GT(plan.inspect_seconds, 0.0);
+    EXPECT_NEAR(plan.inspect_seconds + replay.seconds, whole.seconds,
+                whole.seconds * 1e-12);
+
+    // The replay trace is the numeric-stage tail of a full run: every
+    // launch from the first numeric kernel (or radix sort) on.
+    const std::vector<sim::LaunchResult>& launches = full.last_trace().launches();
+    const auto numeric_stage = [](const sim::LaunchResult& launch) {
+      return launch.name == "radix_sort" ||
+             (launch.name.rfind("numeric", 0) == 0 && launch.name != "numeric_lb");
+    };
+    const auto first = std::find_if(launches.begin(), launches.end(), numeric_stage);
+    ASSERT_EQ(static_cast<std::size_t>(launches.end() - first),
+              plan.replay_trace.size());
+    for (std::size_t i = 0; i < plan.replay_trace.size(); ++i) {
+      EXPECT_TRUE(numeric_stage(first[i])) << first[i].name;
+      EXPECT_EQ(plan.replay_trace[i].name, first[i].name) << i;
+      EXPECT_EQ(plan.replay_trace[i].seconds, first[i].seconds) << i;
+    }
+  }
 }
 
 TEST(PlanReuse, PlanRecordsRectangularFingerprint) {
