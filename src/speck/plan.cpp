@@ -140,6 +140,13 @@ PlanFingerprint plan_fingerprint_masked(const Csr& a, const Csr& b,
   return fp;
 }
 
+PlanFingerprint plan_fingerprint(const Csr& a, const Csr& b, const Csr* mask,
+                                 const SpeckConfig& cfg, bool with_pattern_hashes) {
+  return mask != nullptr
+             ? plan_fingerprint_masked(a, b, *mask, cfg, with_pattern_hashes)
+             : plan_fingerprint(a, b, cfg, with_pattern_hashes);
+}
+
 namespace {
 
 /// Heap bytes behind a std::string: zero while the small-string buffer

@@ -86,6 +86,13 @@ PlanFingerprint plan_fingerprint_masked(const Csr& a, const Csr& b,
                                         const Csr& mask, const SpeckConfig& cfg,
                                         bool with_pattern_hashes = true);
 
+/// Fingerprint of the product masked by `*mask`, or of the unmasked one when
+/// `mask` is null. Pass `cfg.mask.get()` for the product a Speck configured
+/// with `cfg` computes in multiply() and plan().
+PlanFingerprint plan_fingerprint(const Csr& a, const Csr& b, const Csr* mask,
+                                 const SpeckConfig& cfg,
+                                 bool with_pattern_hashes = true);
+
 /// Per-run diagnostics beyond the common SpGemmResult (used by tests and
 /// the ablation benchmarks).
 struct SpeckDiagnostics {

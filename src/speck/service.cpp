@@ -283,10 +283,8 @@ SpeckService::Response SpeckService::serve(const Csr& a, const Csr& b,
   // A mask on the wrapped Speck's config turns every request into a masked
   // product: the fingerprint (and thus the cache key) carries the mask
   // pattern, so masked and unmasked plans for one structure never collide.
-  const Csr* mask = speck_.config().mask.get();
   const PlanFingerprint fp =
-      mask != nullptr ? plan_fingerprint_masked(a, b, *mask, speck_.config())
-                      : plan_fingerprint(a, b, speck_.config());
+      plan_fingerprint(a, b, speck_.config().mask.get(), speck_.config());
   const std::uint64_t key = plan_key_hash(fp);
 
   // True when the request had to block anywhere — the plan mutex or the
@@ -373,9 +371,7 @@ SpeckService::Response SpeckService::serve(const Csr& a, const Csr& b,
       SpeckPlan built;
       const CancelToken cancel(opts.deadline);
       try {
-        built = mask != nullptr
-                    ? speck_.plan_masked(a, b, *mask, &full, &cancel)
-                    : speck_.plan(a, b, &full, &cancel);
+        built = speck_.plan(a, b, &full, &cancel);
       } catch (...) {
         // Bad inputs (dimension mismatch, corrupt CSR) throw from the
         // pipeline; a service must answer, not unwind a client thread.
@@ -472,10 +468,8 @@ SpeckService::Response SpeckService::serve(const Csr& a, const Csr& b,
 std::shared_ptr<const SpeckPlan> SpeckService::plan_for(const Csr& a,
                                                         const Csr& b,
                                                         Status* status) {
-  const Csr* mask = speck_.config().mask.get();
   const PlanFingerprint fp =
-      mask != nullptr ? plan_fingerprint_masked(a, b, *mask, speck_.config())
-                      : plan_fingerprint(a, b, speck_.config());
+      plan_fingerprint(a, b, speck_.config().mask.get(), speck_.config());
   if (std::shared_ptr<const SpeckPlan> plan = cache_.find(fp)) return plan;
   std::lock_guard<std::timed_mutex> lock(plan_mutex_);
   if (std::shared_ptr<const SpeckPlan> plan = cache_.find(fp)) return plan;
@@ -490,7 +484,7 @@ std::shared_ptr<const SpeckPlan> SpeckService::plan_for(const Csr& a,
   }
   SpeckPlan built;
   try {
-    built = mask != nullptr ? speck_.plan_masked(a, b, *mask) : speck_.plan(a, b);
+    built = speck_.plan(a, b);
   } catch (...) {
     if (config_.memory_budget_bytes != 0) budget_.release(build_bytes);
     if (status != nullptr) *status = status_from_current_exception();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <optional>
 
 #include "common/bit_utils.h"
@@ -64,17 +65,12 @@ std::string plan_reject_reason(const SpeckPlan& plan, const Csr& a,
     return plan.incomplete_reason.empty() ? "plan is incomplete"
                                           : plan.incomplete_reason;
   }
-  const Csr* mask = cfg.mask.get();
-  if (plan.fingerprint.masked && mask == nullptr) {
+  if (plan.fingerprint.masked && cfg.mask == nullptr) {
     return "plan is masked but no mask is configured (set SpeckConfig::mask "
            "to the mask the plan was built with)";
   }
-  const PlanFingerprint now =
-      mask != nullptr
-          ? plan_fingerprint_masked(a, b, *mask, cfg,
-                                    /*with_pattern_hashes=*/cfg.validate_inputs)
-          : plan_fingerprint(a, b, cfg,
-                             /*with_pattern_hashes=*/cfg.validate_inputs);
+  const PlanFingerprint now = plan_fingerprint(
+      a, b, cfg.mask.get(), cfg, /*with_pattern_hashes=*/cfg.validate_inputs);
   const bool match = cfg.validate_inputs
                          ? now.matches_full(plan.fingerprint)
                          : now.matches_quick(plan.fingerprint);
@@ -83,6 +79,90 @@ std::string plan_reject_reason(const SpeckPlan& plan, const Csr& a,
            "inputs or this configuration";
   }
   return {};
+}
+
+/// The const replay entries' answer to a rejected plan: no fallback (that
+/// would need the instance's mutable state), the caller decides whether to
+/// re-plan.
+SpGemmResult rejected_plan(const std::string& reason, SpeckDiagnostics* diag) {
+  if (diag != nullptr) *diag = SpeckDiagnostics{};
+  SpGemmResult result;
+  result.status = SpGemmStatus::kUnsupported;
+  result.failure_reason = "plan rejected: " + reason;
+  return result;
+}
+
+/// Device bytes of a CSR matrix with `rows` rows and `nnz` entries.
+std::size_t csr_device_bytes(index_t rows, offset_t nnz) {
+  return (static_cast<std::size_t>(rows) + 1) * sizeof(offset_t) +
+         static_cast<std::size_t>(nnz) * (sizeof(index_t) + sizeof(value_t));
+}
+
+/// Simulated device memory of one run. A reservation that does not fit
+/// marks `result` out of memory with its reason and returns false; the
+/// caller then returns `result` as it stands. The reservations the full
+/// pipeline and the replay share are named here, so each failure reason is
+/// spelled once.
+class DeviceMemory {
+ public:
+  DeviceMemory(std::size_t device_bytes, const FaultInjector* faults,
+               SpGemmResult& result)
+      : tracker_(faults != nullptr ? faults->cap_memory(device_bytes)
+                                   : device_bytes),
+        result_(result) {}
+
+  bool reserve(std::size_t bytes, const char* reason) {
+    if (tracker_.allocate(bytes)) return true;
+    result_.status = SpGemmStatus::kOutOfMemory;
+    result_.failure_reason = reason;
+    return false;
+  }
+  bool reserve_inputs(std::size_t bytes) {
+    return reserve(bytes, "input matrices exceed device memory");
+  }
+  bool reserve_output(index_t rows, offset_t nnz) {
+    return reserve(csr_device_bytes(rows, nnz),
+                   "output matrix exceeds device memory");
+  }
+  /// Transient: held only while the pass that spills into it runs.
+  bool reserve_global_pool(std::size_t bytes) {
+    return reserve_transient(bytes, "global hash pool exceeds device memory");
+  }
+  /// Transient double buffer for the device radix sort.
+  bool reserve_sort_buffers(offset_t elements) {
+    return reserve_transient(
+        static_cast<std::size_t>(elements) * (sizeof(index_t) + sizeof(value_t)),
+        "radix sort buffers exceed device memory");
+  }
+  void release(std::size_t bytes) { tracker_.release(bytes); }
+  std::size_t peak_bytes() const { return tracker_.peak_bytes(); }
+
+ private:
+  bool reserve_transient(std::size_t bytes, const char* reason) {
+    if (bytes == 0) return true;
+    if (!reserve(bytes, reason)) return false;
+    tracker_.release(bytes);
+    return true;
+  }
+
+  sim::MemoryTracker tracker_;
+  SpGemmResult& result_;
+};
+
+/// Numeric binning input (stage 4): each row's accumulator demand inflated
+/// by the hash fill limit (66%). Fault injection perturbs it like the
+/// analysis estimates, which only shifts rows between kernel configurations.
+std::vector<offset_t> numeric_lb_entries(std::span<const index_t> demand,
+                                         double max_fill,
+                                         const FaultInjector* faults) {
+  std::vector<offset_t> entries(demand.size());
+  for (std::size_t r = 0; r < demand.size(); ++r) {
+    entries[r] = static_cast<offset_t>(static_cast<double>(demand[r]) / max_fill + 1.0);
+    if (faults != nullptr) {
+      entries[r] = faults->scale_estimate(static_cast<index_t>(r), entries[r]);
+    }
+  }
+  return entries;
 }
 
 }  // namespace
@@ -120,16 +200,28 @@ PlanCache& Speck::plan_cache() {
 }
 
 SpGemmResult Speck::multiply(const Csr& a, const Csr& b) {
-  if (config_.mask != nullptr) return multiply_masked(a, b, *config_.mask);
+  return cached_multiply(a, b, config_.mask.get());
+}
+
+SpGemmResult Speck::multiply_masked(const Csr& a, const Csr& b,
+                                    const Csr& mask) {
+  return cached_multiply(a, b, &mask);
+}
+
+SpGemmResult Speck::cached_multiply(const Csr& a, const Csr& b,
+                                    const Csr* mask) {
   if (!config_.plan_cache) {
     has_last_structure_ = false;
     transparent_cache_.reset();
-    return multiply_full(a, b, nullptr);
+    return run_pipeline(a, b, mask, nullptr);
   }
   PlanCache& cache = plan_cache();
-  const PlanFingerprint fp = plan_fingerprint(a, b, config_);
+  // The masked fingerprint keeps masked and unmasked structures from ever
+  // colliding.
+  const PlanFingerprint fp = plan_fingerprint(a, b, mask, config_);
   if (const std::shared_ptr<const SpeckPlan> plan = cache.find(fp)) {
-    SpGemmResult result = replay_plan(*plan, a, b);
+    SpGemmResult result =
+        replay_plan_into(*plan, a, b, host_pool(), &diagnostics_, &trace_, nullptr);
     diagnostics_.plan_cache_hit = true;
     return result;
   }
@@ -140,64 +232,33 @@ SpGemmResult Speck::multiply(const Csr& a, const Csr& b) {
                      plan_worth_caching(a, b);
   last_structure_ = fp;
   has_last_structure_ = true;
-  if (!build) return multiply_full(a, b, nullptr);
+  if (!build) return run_pipeline(a, b, mask, nullptr);
   auto plan = std::make_shared<SpeckPlan>();
   plan->fingerprint = fp;
-  SpGemmResult result = multiply_full(a, b, plan.get());
-  if (result.ok() && plan->complete) cache.insert(std::move(plan));
-  return result;
-}
-
-SpGemmResult Speck::multiply_masked(const Csr& a, const Csr& b,
-                                    const Csr& mask) {
-  if (!config_.plan_cache) {
-    has_last_structure_ = false;
-    transparent_cache_.reset();
-    return multiply_masked_full(a, b, mask, nullptr);
-  }
-  PlanCache& cache = plan_cache();
-  const PlanFingerprint fp = plan_fingerprint_masked(a, b, mask, config_);
-  if (const std::shared_ptr<const SpeckPlan> plan = cache.find(fp)) {
-    SpGemmResult result = replay_plan(*plan, a, b);
-    diagnostics_.plan_cache_hit = true;
-    return result;
-  }
-  // Same build-on-second-sight policy as the unmasked path; the masked
-  // fingerprint keeps masked and unmasked structures from ever colliding.
-  const bool build = has_last_structure_ && fp.matches_full(last_structure_) &&
-                     plan_worth_caching(a, b);
-  last_structure_ = fp;
-  has_last_structure_ = true;
-  if (!build) return multiply_masked_full(a, b, mask, nullptr);
-  auto plan = std::make_shared<SpeckPlan>();
-  plan->fingerprint = fp;
-  SpGemmResult result = multiply_masked_full(a, b, mask, plan.get());
+  SpGemmResult result = run_pipeline(a, b, mask, plan.get());
   if (result.ok() && plan->complete) cache.insert(std::move(plan));
   return result;
 }
 
 SpeckPlan Speck::plan(const Csr& a, const Csr& b, SpGemmResult* full_result,
                       const CancelToken* cancel) {
-  SpeckPlan plan;
-  plan.fingerprint = plan_fingerprint(a, b, config_);
-  // When the caller does not want the full multiply result, the capture
-  // block may steal the C pattern arrays from it instead of copying.
-  SpGemmResult result =
-      multiply_full(a, b, &plan, cancel, /*steal_pattern=*/full_result == nullptr);
-  if (!result.ok() && plan.incomplete_reason.empty()) {
-    plan.incomplete_reason = "planning run failed: " + result.failure_reason;
-  }
-  if (full_result != nullptr) *full_result = std::move(result);
-  return plan;
+  return build_plan(a, b, config_.mask.get(), full_result, cancel);
 }
 
 SpeckPlan Speck::plan_masked(const Csr& a, const Csr& b, const Csr& mask,
                              SpGemmResult* full_result,
                              const CancelToken* cancel) {
+  return build_plan(a, b, &mask, full_result, cancel);
+}
+
+SpeckPlan Speck::build_plan(const Csr& a, const Csr& b, const Csr* mask,
+                            SpGemmResult* full_result, const CancelToken* cancel) {
   SpeckPlan plan;
-  plan.fingerprint = plan_fingerprint_masked(a, b, mask, config_);
-  SpGemmResult result = multiply_masked_full(
-      a, b, mask, &plan, cancel, /*steal_pattern=*/full_result == nullptr);
+  plan.fingerprint = plan_fingerprint(a, b, mask, config_);
+  // When the caller does not want the full multiply result, the capture
+  // block may steal the C pattern arrays from it instead of copying.
+  SpGemmResult result = run_pipeline(a, b, mask, &plan, cancel,
+                                     /*steal_pattern=*/full_result == nullptr);
   if (!result.ok() && plan.incomplete_reason.empty()) {
     plan.incomplete_reason = "planning run failed: " + result.failure_reason;
   }
@@ -208,12 +269,12 @@ SpeckPlan Speck::plan_masked(const Csr& a, const Csr& b, const Csr& mask,
 SpGemmResult Speck::multiply_with_plan(const SpeckPlan& plan, const Csr& a,
                                        const Csr& b) {
   std::string reject = plan_reject_reason(plan, a, b, config_);
-  if (reject.empty()) return replay_plan(plan, a, b);
+  if (reject.empty()) {
+    return replay_plan_into(plan, a, b, host_pool(), &diagnostics_, &trace_,
+                            nullptr);
+  }
   // Fall back the way multiply() dispatches: a configured mask still applies.
-  SpGemmResult result =
-      config_.mask != nullptr
-          ? multiply_masked_full(a, b, *config_.mask, nullptr)
-          : multiply_full(a, b, nullptr);
+  SpGemmResult result = run_pipeline(a, b, config_.mask.get(), nullptr);
   diagnostics_.plan_fallback = true;
   diagnostics_.plan_fallback_reason = std::move(reject);
   return result;
@@ -223,16 +284,7 @@ SpGemmResult Speck::multiply_with_plan(const SpeckPlan& plan, const Csr& a,
                                        const Csr& b,
                                        SpeckDiagnostics* diag) const {
   const std::string reject = plan_reject_reason(plan, a, b, config_);
-  if (!reject.empty()) {
-    // No fallback here: the full pipeline needs this instance's mutable
-    // state, which concurrent callers must never touch. The caller decides
-    // whether to re-plan.
-    if (diag != nullptr) *diag = SpeckDiagnostics{};
-    SpGemmResult result;
-    result.status = SpGemmStatus::kUnsupported;
-    result.failure_reason = "plan rejected: " + reject;
-    return result;
-  }
+  if (!reject.empty()) return rejected_plan(reject, diag);
   return replay_plan_into(plan, a, b, &serial_pool(), diag, nullptr, nullptr);
 }
 
@@ -240,23 +292,11 @@ SpGemmResult Speck::replay_values_into(const SpeckPlan& plan, const Csr& a,
                                        const Csr& b, std::span<value_t> out,
                                        SpeckDiagnostics* diag) const {
   const std::string reject = plan_reject_reason(plan, a, b, config_);
-  if (!reject.empty()) {
-    if (diag != nullptr) *diag = SpeckDiagnostics{};
-    SpGemmResult result;
-    result.status = SpGemmStatus::kUnsupported;
-    result.failure_reason = "plan rejected: " + reject;
-    return result;
-  }
+  if (!reject.empty()) return rejected_plan(reject, diag);
   SPECK_REQUIRE(out.size() == static_cast<std::size_t>(plan.c_nnz()),
                 "replay_values_into: output span must be sized to the plan's "
                 "c_nnz");
   return replay_plan_into(plan, a, b, &serial_pool(), diag, nullptr, &out);
-}
-
-SpGemmResult Speck::replay_plan(const SpeckPlan& plan, const Csr& a,
-                                const Csr& b) {
-  return replay_plan_into(plan, a, b, host_pool(), &diagnostics_, &trace_,
-                          nullptr);
 }
 
 SpGemmResult Speck::replay_plan_into(const SpeckPlan& plan, const Csr& a,
@@ -284,43 +324,14 @@ SpGemmResult Speck::replay_plan_into(const SpeckPlan& plan, const Csr& a,
   }
   if (trace != nullptr) trace->clear();
 
-  sim::MemoryTracker memory(faults != nullptr
-                                ? faults->cap_memory(device_.global_memory_bytes)
-                                : device_.global_memory_bytes);
-  if (!memory.allocate(a.byte_size() + b.byte_size())) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "input matrices exceed device memory";
-    return result;
-  }
-  const auto c_nnz = static_cast<std::size_t>(plan.c_nnz());
-  const std::size_t c_bytes =
-      (static_cast<std::size_t>(plan.fingerprint.a_rows) + 1) * sizeof(offset_t) +
-      c_nnz * (sizeof(index_t) + sizeof(value_t));
-  if (!memory.allocate(c_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "output matrix exceeds device memory";
-    return result;
-  }
   // The replayed numeric kernels use the same transient device buffers the
   // full numeric pass did.
-  if (plan.diagnostics.numeric.global_pool_bytes > 0) {
-    if (!memory.allocate(plan.diagnostics.numeric.global_pool_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "global hash pool exceeds device memory";
-      return result;
-    }
-    memory.release(plan.diagnostics.numeric.global_pool_bytes);
-  }
-  if (plan.diagnostics.radix_sorted_elements > 0) {
-    const auto sort_bytes =
-        static_cast<std::size_t>(plan.diagnostics.radix_sorted_elements) *
-        (sizeof(index_t) + sizeof(value_t));
-    if (!memory.allocate(sort_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "radix sort buffers exceed device memory";
-      return result;
-    }
-    memory.release(sort_bytes);
+  DeviceMemory memory(device_.global_memory_bytes, faults, result);
+  if (!memory.reserve_inputs(a.byte_size() + b.byte_size()) ||
+      !memory.reserve_output(plan.fingerprint.a_rows, plan.c_nnz()) ||
+      !memory.reserve_global_pool(plan.diagnostics.numeric.global_pool_bytes) ||
+      !memory.reserve_sort_buffers(plan.diagnostics.radix_sorted_elements)) {
+    return result;
   }
 
   const SimdBackend simd = simd::resolve_backend(config_.simd_backend);
@@ -338,7 +349,7 @@ SpGemmResult Speck::replay_plan_into(const SpeckPlan& plan, const Csr& a,
         serial ? replay_numeric_values_serial(a, b, plan.program, *external, simd)
                : replay_numeric_values(a, b, plan.program, pool, *external, simd);
   } else {
-    std::vector<value_t> values(c_nnz, 0.0);
+    std::vector<value_t> values(static_cast<std::size_t>(plan.c_nnz()), 0.0);
     replay_allocs =
         serial ? replay_numeric_values_serial(a, b, plan.program, values, simd)
                : replay_numeric_values(a, b, plan.program, pool, values, simd);
@@ -359,10 +370,9 @@ SpGemmResult Speck::replay_plan_into(const SpeckPlan& plan, const Csr& a,
   return result;
 }
 
-SpGemmResult Speck::multiply_full(const Csr& a, const Csr& b,
-                                  SpeckPlan* capture,
-                                  const CancelToken* cancel,
-                                  bool steal_pattern) {
+SpGemmResult Speck::run_pipeline(const Csr& a, const Csr& b, const Csr* mask,
+                                 SpeckPlan* capture, const CancelToken* cancel,
+                                 bool steal_pattern) {
   // Cooperative cancellation: polled at stage boundaries on this (the
   // coordinating) thread only — pool workers never throw. A kernel that has
   // started runs to completion; the check before each stage keeps an
@@ -372,417 +382,37 @@ SpGemmResult Speck::multiply_full(const Csr& a, const Csr& b,
   };
   poll_cancel("admission");
   SPECK_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
+  if (mask != nullptr) validate_mask_input(a, b, *mask, config_.validate_inputs);
   if (config_.validate_inputs) validate_multiply_inputs(a, b);
   std::optional<FaultInjector> injector;
   if (config_.faults.enabled()) injector.emplace(config_.faults);
   const FaultInjector* faults = injector ? &*injector : nullptr;
+  // The masked pipeline ignores the planning mode: its demand bound is
+  // exact by construction.
+  const bool estimated =
+      mask == nullptr && resolve_planning(config_.planning) == PlanningMode::kEstimated;
+  const bool exact = mask == nullptr && !estimated;
 
   SpGemmResult result;
   diagnostics_ = SpeckDiagnostics{};
+  diagnostics_.estimated_planning = estimated;
+  diagnostics_.masked = mask != nullptr;
   diagnostics_.wide_keys = b.cols() > kMaxColumns32Bit;
   trace_.clear();
 
-  sim::MemoryTracker memory(faults != nullptr
-                                ? faults->cap_memory(device_.global_memory_bytes)
-                                : device_.global_memory_bytes);
   // Input matrices are resident for the duration of the multiplication
-  // (the paper lists this as spECK's limitation, §7).
-  if (!memory.allocate(a.byte_size() + b.byte_size())) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "input matrices exceed device memory";
-    return result;
-  }
-
-  KernelContext ctx;
-  ctx.a = &a;
-  ctx.b = &b;
-  ctx.cfg = &config_;
-  ctx.configs = &kernel_configs_;
-  ctx.device = &device_;
-  ctx.model = &model_;
-  ctx.wide_keys = diagnostics_.wide_keys;
-  ctx.trace = &trace_;
-  ctx.pool = host_pool();
-  ctx.workspaces = &workspaces_;
-  ctx.faults = faults;
-  ctx.simd = simd::resolve_backend(config_.simd_backend);
-
-  if (resolve_planning(config_.planning) == PlanningMode::kEstimated) {
-    return multiply_estimated(a, b, capture, cancel, ctx, memory,
-                              steal_pattern);
-  }
-
-  // Stage 1: lightweight row analysis (Algorithm 1).
-  sim::Launch analysis_launch("row_analysis", device_, model_);
-  RowAnalysis analysis = analyze_rows(a, b, analysis_launch, ctx.pool, faults);
-  ctx.analysis = &analysis;
-  diagnostics_.products = analysis.total_products;
-  {
-    sim::LaunchResult finished = analysis_launch.finish();
-    result.timeline.add(sim::Stage::kAnalysis, finished.seconds);
-    trace_.record(std::move(finished));
-  }
-  const std::size_t analysis_bytes =
-      static_cast<std::size_t>(a.rows()) *
-      (sizeof(offset_t) + 3 * sizeof(index_t));
-  if (!memory.allocate(analysis_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "row analysis buffers exceed device memory";
-    return result;
-  }
-
-  poll_cancel("row analysis");
-  // Stage 2: conditional global load balancing for the symbolic pass,
-  // binning on the conservative product counts.
-  sim::Launch symbolic_lb_launch("symbolic_lb", device_, model_);
-  const GlobalLbInputs symbolic_inputs{std::span<const offset_t>(analysis.products),
-                                       /*symbolic=*/true};
-  BinPlan symbolic_plan =
-      plan_global_lb(symbolic_inputs, kernel_configs_, config_, symbolic_lb_launch);
-  diagnostics_.symbolic_decision =
-      lb_decision_stats(symbolic_inputs, kernel_configs_, config_);
-  diagnostics_.symbolic_lb_used = symbolic_plan.used_load_balancer;
-  diagnostics_.symbolic_blocks = static_cast<int>(symbolic_plan.blocks.size());
-  if (symbolic_plan.used_load_balancer) {
-    sim::LaunchResult finished = symbolic_lb_launch.finish();
-    result.timeline.add(sim::Stage::kSymbolicLoadBalance, finished.seconds);
-    trace_.record(std::move(finished));
-    if (!memory.allocate(symbolic_plan.lb_memory_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "load balancer buffers exceed device memory";
-      return result;
-    }
-  }
-
-  poll_cancel("symbolic load balancing");
-  // Stage 3: symbolic SpGEMM (exact C row sizes).
-  SymbolicOutcome symbolic = run_symbolic(ctx, symbolic_plan);
-  diagnostics_.symbolic = symbolic.stats;
-  result.timeline.add(sim::Stage::kSymbolic, symbolic.stats.seconds);
-  if (symbolic.stats.global_pool_bytes > 0 &&
-      !memory.allocate(symbolic.stats.global_pool_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "global hash pool exceeds device memory";
-    return result;
-  }
-  if (symbolic.stats.global_pool_bytes > 0) {
-    memory.release(symbolic.stats.global_pool_bytes);
-  }
-
-  // Output row offsets via exclusive prefix sum; the C allocation itself is
-  // not timed (identical for every method) but counts towards peak memory.
-  offset_t c_nnz = 0;
-  for (const index_t nnz : symbolic.row_nnz) c_nnz += nnz;
-  const std::size_t c_bytes =
-      (static_cast<std::size_t>(a.rows()) + 1) * sizeof(offset_t) +
-      static_cast<std::size_t>(c_nnz) * (sizeof(index_t) + sizeof(value_t));
-  if (!memory.allocate(c_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "output matrix exceeds device memory";
-    return result;
-  }
-
-  poll_cancel("symbolic pass");
-  // Stage 4: conditional global load balancing for the numeric pass, using
-  // the exact row sizes inflated by the hash fill limit (66%).
-  std::vector<offset_t> numeric_entries(symbolic.row_nnz.size());
-  for (std::size_t r = 0; r < symbolic.row_nnz.size(); ++r) {
-    numeric_entries[r] = static_cast<offset_t>(
-        static_cast<double>(symbolic.row_nnz[r]) / config_.max_numeric_fill + 1.0);
-    if (faults != nullptr) {
-      // Perturb the numeric binning input too — like the analysis estimates
-      // this only shifts rows between kernel configurations.
-      numeric_entries[r] =
-          faults->scale_estimate(static_cast<index_t>(r), numeric_entries[r]);
-    }
-  }
-  sim::Launch numeric_lb_launch("numeric_lb", device_, model_);
-  const GlobalLbInputs numeric_inputs{std::span<const offset_t>(numeric_entries),
-                                      /*symbolic=*/false};
-  BinPlan numeric_plan =
-      plan_global_lb(numeric_inputs, kernel_configs_, config_, numeric_lb_launch);
-  diagnostics_.numeric_decision =
-      lb_decision_stats(numeric_inputs, kernel_configs_, config_);
-  diagnostics_.numeric_lb_used = numeric_plan.used_load_balancer;
-  diagnostics_.numeric_blocks = static_cast<int>(numeric_plan.blocks.size());
-  if (numeric_plan.used_load_balancer) {
-    sim::LaunchResult finished = numeric_lb_launch.finish();
-    result.timeline.add(sim::Stage::kNumericLoadBalance, finished.seconds);
-    trace_.record(std::move(finished));
-    if (!memory.allocate(numeric_plan.lb_memory_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "load balancer buffers exceed device memory";
-      return result;
-    }
-  }
-
-  poll_cancel("numeric load balancing");
-  // Stage 5 + 6: numeric SpGEMM and the sorting pass.
-  const std::size_t numeric_trace_mark = trace_.launches().size();
-  NumericOutcome numeric = run_numeric(ctx, numeric_plan, symbolic.row_nnz);
-  diagnostics_.numeric = numeric.stats;
-  diagnostics_.radix_sorted_elements = numeric.radix_sorted_elements;
-  result.timeline.add(sim::Stage::kNumeric, numeric.stats.seconds);
-  result.timeline.add(sim::Stage::kSorting, numeric.sorting_seconds);
-  if (numeric.stats.global_pool_bytes > 0) {
-    if (!memory.allocate(numeric.stats.global_pool_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "global hash pool exceeds device memory";
-      return result;
-    }
-    memory.release(numeric.stats.global_pool_bytes);
-  }
-  if (numeric.radix_sorted_elements > 0) {
-    // Double-buffer for the device radix sort.
-    const auto sort_bytes = static_cast<std::size_t>(numeric.radix_sorted_elements) *
-                            (sizeof(index_t) + sizeof(value_t));
-    if (!memory.allocate(sort_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "radix sort buffers exceed device memory";
-      return result;
-    }
-    memory.release(sort_bytes);
-  }
-
-  result.c = std::move(numeric.c);
-  result.seconds = result.timeline.total_seconds();
-  result.peak_memory_bytes = memory.peak_bytes();
-
-  if (capture != nullptr) {
-    SpeckPlan& plan = *capture;
-    plan.wide_keys = ctx.wide_keys;
-    plan.row_nnz = std::move(symbolic.row_nnz);
-    if (steal_pattern) {
-      // The caller promised to discard the result: take the pattern arrays
-      // instead of copying them (the values are dropped either way).
-      std::vector<value_t> discarded_values;
-      result.c.take_arrays(plan.c_row_offsets, plan.c_col_indices,
-                           discarded_values);
-    } else {
-      const std::span<const offset_t> c_offsets = result.c.row_offsets();
-      const std::span<const index_t> c_cols = result.c.col_indices();
-      plan.c_row_offsets.assign(c_offsets.begin(), c_offsets.end());
-      plan.c_col_indices.assign(c_cols.begin(), c_cols.end());
-    }
-    if (static_cast<std::uint64_t>(a.nnz()) >= kMaxReplayIndex ||
-        static_cast<std::uint64_t>(b.nnz()) >= kMaxReplayIndex ||
-        static_cast<std::uint64_t>(c_nnz) >= kMaxReplayIndex) {
-      plan.incomplete_reason =
-          "matrix too large for the 32-bit replay program";
-    } else {
-      plan.program = build_replay_program(ctx, numeric_plan, plan.row_nnz,
-                                          plan.c_row_offsets,
-                                          plan.c_col_indices);
-      plan.complete = true;
-    }
-    plan.analysis = std::move(analysis);
-    plan.symbolic_plan = std::move(symbolic_plan);
-    plan.numeric_plan = std::move(numeric_plan);
-    plan.diagnostics = diagnostics_;
-    plan.numeric_seconds = numeric.stats.seconds;
-    plan.sorting_seconds = numeric.sorting_seconds;
-    const std::vector<sim::LaunchResult>& launches = trace_.launches();
-    plan.replay_trace.assign(
-        launches.begin() + static_cast<std::ptrdiff_t>(numeric_trace_mark),
-        launches.end());
-    plan.inspect_seconds =
-        result.timeline.seconds(sim::Stage::kAnalysis) +
-        result.timeline.seconds(sim::Stage::kSymbolicLoadBalance) +
-        result.timeline.seconds(sim::Stage::kSymbolic) +
-        result.timeline.seconds(sim::Stage::kNumericLoadBalance);
-  }
-  return result;
-}
-
-SpGemmResult Speck::multiply_estimated(const Csr& a, const Csr& b,
-                                       SpeckPlan* capture,
-                                       const CancelToken* cancel,
-                                       KernelContext& ctx,
-                                       sim::MemoryTracker& memory,
-                                       bool steal_pattern) {
-  const auto poll_cancel = [cancel](const char* phase) {
-    if (cancel != nullptr) cancel->check(phase);
-  };
-  SpGemmResult result;
-  diagnostics_.estimated_planning = true;
-  const FaultInjector* faults = ctx.faults;
-
-  // Stage 1': row estimation — the exact O(nnz_A) lightweight analysis plus
-  // a bounded per-row sampling pass for the NNZ estimates; what it *skips*
-  // is the O(products) symbolic hashing pass below.
-  sim::Launch estimator_launch("row_estimator", device_, model_);
-  RowEstimate estimate =
-      estimate_rows(a, b, config_, estimator_launch, ctx.pool, faults);
-  ctx.analysis = &estimate.analysis;
-  diagnostics_.products = estimate.analysis.total_products;
-  {
-    sim::LaunchResult finished = estimator_launch.finish();
-    result.timeline.add(sim::Stage::kAnalysis, finished.seconds);
-    trace_.record(std::move(finished));
-  }
-  const std::size_t analysis_bytes =
-      static_cast<std::size_t>(a.rows()) *
-      (sizeof(offset_t) + 4 * sizeof(index_t));
-  if (!memory.allocate(analysis_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "row estimation buffers exceed device memory";
-    return result;
-  }
-
-  poll_cancel("row estimation");
-  // The symbolic load balancer and the symbolic pass are skipped entirely:
-  // numeric binning runs straight off the NNZ estimates, inflated by the
-  // hash fill limit exactly like exact mode inflates the symbolic counts.
-  std::vector<offset_t> numeric_entries(estimate.row_nnz_estimate.size());
-  for (std::size_t r = 0; r < numeric_entries.size(); ++r) {
-    numeric_entries[r] = static_cast<offset_t>(
-        static_cast<double>(estimate.row_nnz_estimate[r]) /
-            config_.max_numeric_fill +
-        1.0);
-    if (faults != nullptr) {
-      numeric_entries[r] =
-          faults->scale_estimate(static_cast<index_t>(r), numeric_entries[r]);
-    }
-  }
-  sim::Launch numeric_lb_launch("numeric_lb", device_, model_);
-  const GlobalLbInputs numeric_inputs{std::span<const offset_t>(numeric_entries),
-                                      /*symbolic=*/false};
-  BinPlan numeric_plan =
-      plan_global_lb(numeric_inputs, kernel_configs_, config_, numeric_lb_launch);
-  diagnostics_.numeric_decision =
-      lb_decision_stats(numeric_inputs, kernel_configs_, config_);
-  diagnostics_.numeric_lb_used = numeric_plan.used_load_balancer;
-  diagnostics_.numeric_blocks = static_cast<int>(numeric_plan.blocks.size());
-  if (numeric_plan.used_load_balancer) {
-    sim::LaunchResult finished = numeric_lb_launch.finish();
-    result.timeline.add(sim::Stage::kNumericLoadBalance, finished.seconds);
-    trace_.record(std::move(finished));
-    if (!memory.allocate(numeric_plan.lb_memory_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "load balancer buffers exceed device memory";
-      return result;
-    }
-  }
-
-  poll_cancel("numeric load balancing");
-  // Estimated C staging: one over-allocated slot per row (this is the
-  // allocation exact mode sizes from the symbolic counts).
-  offset_t staging_nnz = 0;
-  for (const index_t est : estimate.row_nnz_estimate) staging_nnz += est;
-  const std::size_t staging_bytes =
-      (static_cast<std::size_t>(a.rows()) + 1) * sizeof(offset_t) +
-      static_cast<std::size_t>(staging_nnz) * (sizeof(index_t) + sizeof(value_t));
-  if (!memory.allocate(staging_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "estimated output staging exceeds device memory";
-    return result;
-  }
-
-  // Stage 5' + 6': estimated numeric merge (discovers the exact pattern,
-  // re-running underflowed rows through the fallback) and compaction.
-  const std::size_t numeric_trace_mark = trace_.launches().size();
-  EstimatedNumericOutcome numeric =
-      run_numeric_estimated(ctx, numeric_plan, estimate.row_nnz_estimate);
-  diagnostics_.numeric = numeric.stats;
-  diagnostics_.radix_sorted_elements = numeric.radix_sorted_elements;
-  result.timeline.add(sim::Stage::kNumeric, numeric.stats.seconds);
-  result.timeline.add(sim::Stage::kSorting, numeric.sorting_seconds);
-  const offset_t c_nnz = numeric.c.nnz();
-  const std::size_t c_bytes =
-      (static_cast<std::size_t>(a.rows()) + 1) * sizeof(offset_t) +
-      static_cast<std::size_t>(c_nnz) * (sizeof(index_t) + sizeof(value_t));
-  if (!memory.allocate(c_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "output matrix exceeds device memory";
-    return result;
-  }
-  memory.release(staging_bytes);
-
-  result.c = std::move(numeric.c);
-  result.seconds = result.timeline.total_seconds();
-  result.peak_memory_bytes = memory.peak_bytes();
-
-  if (capture != nullptr) {
-    SpeckPlan& plan = *capture;
-    plan.wide_keys = ctx.wide_keys;
-    // The plan stores the *actual* exact counts; the replay program's method
-    // selection is re-derived from the *estimates* — exactly what the
-    // estimated pass executed, which is what keeps replays bit-identical.
-    plan.row_nnz = std::move(numeric.row_nnz);
-    if (steal_pattern) {
-      std::vector<value_t> discarded_values;
-      result.c.take_arrays(plan.c_row_offsets, plan.c_col_indices,
-                           discarded_values);
-    } else {
-      const std::span<const offset_t> c_offsets = result.c.row_offsets();
-      const std::span<const index_t> c_cols = result.c.col_indices();
-      plan.c_row_offsets.assign(c_offsets.begin(), c_offsets.end());
-      plan.c_col_indices.assign(c_cols.begin(), c_cols.end());
-    }
-    if (static_cast<std::uint64_t>(a.nnz()) >= kMaxReplayIndex ||
-        static_cast<std::uint64_t>(b.nnz()) >= kMaxReplayIndex ||
-        static_cast<std::uint64_t>(c_nnz) >= kMaxReplayIndex) {
-      plan.incomplete_reason =
-          "matrix too large for the 32-bit replay program";
-    } else {
-      plan.program = build_replay_program(ctx, numeric_plan,
-                                          estimate.row_nnz_estimate,
-                                          plan.c_row_offsets,
-                                          plan.c_col_indices);
-      plan.complete = true;
-    }
-    plan.analysis = std::move(estimate.analysis);
-    plan.numeric_plan = std::move(numeric_plan);
-    plan.diagnostics = diagnostics_;
-    plan.numeric_seconds = numeric.stats.seconds;
-    plan.sorting_seconds = numeric.sorting_seconds;
-    const std::vector<sim::LaunchResult>& launches = trace_.launches();
-    plan.replay_trace.assign(
-        launches.begin() + static_cast<std::ptrdiff_t>(numeric_trace_mark),
-        launches.end());
-    plan.inspect_seconds =
-        result.timeline.seconds(sim::Stage::kAnalysis) +
-        result.timeline.seconds(sim::Stage::kNumericLoadBalance);
-  }
-  return result;
-}
-
-SpGemmResult Speck::multiply_masked_full(const Csr& a, const Csr& b,
-                                         const Csr& mask, SpeckPlan* capture,
-                                         const CancelToken* cancel,
-                                         bool steal_pattern) {
-  const auto poll_cancel = [cancel](const char* phase) {
-    if (cancel != nullptr) cancel->check(phase);
-  };
-  poll_cancel("admission");
-  SPECK_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
-  validate_mask_input(a, b, mask, /*full=*/config_.validate_inputs);
-  if (config_.validate_inputs) validate_multiply_inputs(a, b);
-  std::optional<FaultInjector> injector;
-  if (config_.faults.enabled()) injector.emplace(config_.faults);
-  const FaultInjector* faults = injector ? &*injector : nullptr;
-
-  SpGemmResult result;
-  diagnostics_ = SpeckDiagnostics{};
-  diagnostics_.masked = true;
-  diagnostics_.wide_keys = b.cols() > kMaxColumns32Bit;
-  trace_.clear();
-
-  sim::MemoryTracker memory(faults != nullptr
-                                ? faults->cap_memory(device_.global_memory_bytes)
-                                : device_.global_memory_bytes);
-  // The mask is resident alongside the inputs for the whole multiply: the
+  // (the paper lists this as spECK's limitation, §7). So is the mask: the
   // numeric kernels stream it row by row like they stream B.
-  if (!memory.allocate(a.byte_size() + b.byte_size() + mask.byte_size())) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "input matrices exceed device memory";
+  DeviceMemory memory(device_.global_memory_bytes, faults, result);
+  if (!memory.reserve_inputs(a.byte_size() + b.byte_size() +
+                             (mask != nullptr ? mask->byte_size() : 0))) {
     return result;
   }
 
   KernelContext ctx;
   ctx.a = &a;
   ctx.b = &b;
-  ctx.mask = &mask;
+  ctx.mask = mask;
   ctx.cfg = &config_;
   ctx.configs = &kernel_configs_;
   ctx.device = &device_;
@@ -794,148 +424,192 @@ SpGemmResult Speck::multiply_masked_full(const Csr& a, const Csr& b,
   ctx.faults = faults;
   ctx.simd = simd::resolve_backend(config_.simd_backend);
 
-  // Stage 1: the same lightweight row analysis as the exact pipeline — the
-  // product counts bound the per-row work and cap the accumulator demand.
-  sim::Launch analysis_launch("row_analysis", device_, model_);
-  RowAnalysis analysis = analyze_rows(a, b, analysis_launch, ctx.pool, faults);
+  const auto record = [&](sim::Launch& launch, sim::Stage stage) {
+    sim::LaunchResult finished = launch.finish();
+    result.timeline.add(stage, finished.seconds);
+    trace_.record(std::move(finished));
+  };
+  // Conditional global load balancing (stages 2 and 4): the binning always
+  // runs, the launch and its buffers only when the balancer is used.
+  const auto global_lb = [&](bool symbolic, std::span<const offset_t> entries,
+                             BinPlan& plan) {
+    sim::Launch launch(symbolic ? "symbolic_lb" : "numeric_lb", device_, model_);
+    const GlobalLbInputs inputs{entries, symbolic};
+    plan = plan_global_lb(inputs, kernel_configs_, config_, launch);
+    (symbolic ? diagnostics_.symbolic_decision : diagnostics_.numeric_decision) =
+        lb_decision_stats(inputs, kernel_configs_, config_);
+    (symbolic ? diagnostics_.symbolic_lb_used : diagnostics_.numeric_lb_used) =
+        plan.used_load_balancer;
+    (symbolic ? diagnostics_.symbolic_blocks : diagnostics_.numeric_blocks) =
+        static_cast<int>(plan.blocks.size());
+    if (!plan.used_load_balancer) return true;
+    record(launch, symbolic ? sim::Stage::kSymbolicLoadBalance
+                            : sim::Stage::kNumericLoadBalance);
+    return memory.reserve(plan.lb_memory_bytes,
+                          "load balancer buffers exceed device memory");
+  };
+
+  // The demand stage: each mode's per-row accumulator demand for the
+  // numeric pass. Stage 1 is the lightweight row analysis (Algorithm 1);
+  // estimated planning extends it with a bounded per-row sampling pass for
+  // NNZ estimates, which is all it runs in place of stages 2 and 3.
+  RowAnalysis analysis;
+  std::vector<index_t> demand;
+  if (estimated) {
+    sim::Launch launch("row_estimator", device_, model_);
+    RowEstimate estimate = estimate_rows(a, b, config_, launch, ctx.pool, faults);
+    analysis = std::move(estimate.analysis);
+    demand = std::move(estimate.row_nnz_estimate);
+    record(launch, sim::Stage::kAnalysis);
+  } else {
+    sim::Launch launch("row_analysis", device_, model_);
+    analysis = analyze_rows(a, b, launch, ctx.pool, faults);
+    record(launch, sim::Stage::kAnalysis);
+  }
   ctx.analysis = &analysis;
   diagnostics_.products = analysis.total_products;
-  {
-    sim::LaunchResult finished = analysis_launch.finish();
-    result.timeline.add(sim::Stage::kAnalysis, finished.seconds);
-    trace_.record(std::move(finished));
-  }
-  const std::size_t analysis_bytes =
-      static_cast<std::size_t>(a.rows()) *
-      (sizeof(offset_t) + 3 * sizeof(index_t));
-  if (!memory.allocate(analysis_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "row analysis buffers exceed device memory";
+  if (!memory.reserve(static_cast<std::size_t>(a.rows()) *
+                          (sizeof(offset_t) + (estimated ? 4 : 3) * sizeof(index_t)),
+                      estimated ? "row estimation buffers exceed device memory"
+                                : "row analysis buffers exceed device memory")) {
     return result;
   }
+  poll_cancel(estimated ? "row estimation" : "row analysis");
 
-  poll_cancel("row analysis");
-  // The symbolic pass is skipped entirely: the mask row *is* the candidate
-  // pattern, so the accumulator demand per row is the hard bound
-  // min(products, mask_row_nnz) — never an estimate, so there is no
-  // fallback machinery. Numeric binning runs off that demand inflated by
-  // the hash fill limit, exactly like exact mode inflates the symbolic
-  // counts.
-  const std::span<const offset_t> mask_offsets = mask.row_offsets();
-  const auto rows = static_cast<std::size_t>(a.rows());
-  std::vector<index_t> masked_demand(rows);
-  std::vector<offset_t> numeric_entries(rows);
-  offset_t staging_nnz = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const offset_t mask_len = mask_offsets[r + 1] - mask_offsets[r];
-    const offset_t demand = std::min(analysis.products[r], mask_len);
-    masked_demand[r] = static_cast<index_t>(demand);
-    staging_nnz += demand;
-    numeric_entries[r] = static_cast<offset_t>(
-        static_cast<double>(demand) / config_.max_numeric_fill + 1.0);
-    if (faults != nullptr) {
-      numeric_entries[r] =
-          faults->scale_estimate(static_cast<index_t>(r), numeric_entries[r]);
+  BinPlan symbolic_plan;
+  if (exact) {
+    // Stage 2: conditional global load balancing for the symbolic pass,
+    // binning on the conservative product counts.
+    if (!global_lb(/*symbolic=*/true, analysis.products, symbolic_plan)) return result;
+    poll_cancel("symbolic load balancing");
+    // Stage 3: symbolic SpGEMM (exact C row sizes).
+    SymbolicOutcome symbolic = run_symbolic(ctx, symbolic_plan);
+    diagnostics_.symbolic = symbolic.stats;
+    result.timeline.add(sim::Stage::kSymbolic, symbolic.stats.seconds);
+    if (!memory.reserve_global_pool(symbolic.stats.global_pool_bytes)) return result;
+    demand = std::move(symbolic.row_nnz);
+  } else if (mask != nullptr) {
+    // The mask row *is* the candidate pattern, so the demand is the hard
+    // bound min(products, mask_row_nnz) — never an estimate, so there is no
+    // fallback machinery.
+    const std::span<const offset_t> mask_offsets = mask->row_offsets();
+    demand.resize(static_cast<std::size_t>(a.rows()));
+    for (std::size_t r = 0; r < demand.size(); ++r) {
+      demand[r] = static_cast<index_t>(
+          std::min(analysis.products[r], mask_offsets[r + 1] - mask_offsets[r]));
     }
   }
-  sim::Launch numeric_lb_launch("numeric_lb", device_, model_);
-  const GlobalLbInputs numeric_inputs{std::span<const offset_t>(numeric_entries),
-                                      /*symbolic=*/false};
-  BinPlan numeric_plan =
-      plan_global_lb(numeric_inputs, kernel_configs_, config_, numeric_lb_launch);
-  diagnostics_.numeric_decision =
-      lb_decision_stats(numeric_inputs, kernel_configs_, config_);
-  diagnostics_.numeric_lb_used = numeric_plan.used_load_balancer;
-  diagnostics_.numeric_blocks = static_cast<int>(numeric_plan.blocks.size());
-  if (numeric_plan.used_load_balancer) {
-    sim::LaunchResult finished = numeric_lb_launch.finish();
-    result.timeline.add(sim::Stage::kNumericLoadBalance, finished.seconds);
-    trace_.record(std::move(finished));
-    if (!memory.allocate(numeric_plan.lb_memory_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "load balancer buffers exceed device memory";
-      return result;
-    }
+  const offset_t demand_nnz = std::accumulate(demand.begin(), demand.end(), offset_t{0});
+  if (exact) {
+    // Exact C row offsets are known now; the C allocation itself is not
+    // timed (identical for every method) but counts towards peak memory.
+    if (!memory.reserve_output(a.rows(), demand_nnz)) return result;
+    poll_cancel("symbolic pass");
   }
 
+  // Stage 4: conditional global load balancing for the numeric pass.
+  BinPlan numeric_plan;
+  if (!global_lb(/*symbolic=*/false,
+                 numeric_lb_entries(demand, config_.max_numeric_fill, faults),
+                 numeric_plan)) {
+    return result;
+  }
   poll_cancel("numeric load balancing");
-  // Masked C staging: one slot per admissible (mask ∩ demand) position.
-  const std::size_t staging_bytes =
-      (rows + 1) * sizeof(offset_t) +
-      static_cast<std::size_t>(staging_nnz) * (sizeof(index_t) + sizeof(value_t));
-  if (!memory.allocate(staging_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "masked output staging exceeds device memory";
+  // Without exact row sizes, C is staged in one demand-sized slot per row
+  // (the allocation exact mode sizes from the symbolic counts) until the
+  // numeric pass has discovered the exact pattern.
+  const std::size_t staging_bytes = csr_device_bytes(a.rows(), demand_nnz);
+  if (!exact && !memory.reserve(staging_bytes,
+                                mask != nullptr
+                                    ? "masked output staging exceeds device memory"
+                                    : "estimated output staging exceeds device memory")) {
     return result;
   }
 
-  // Stage 5'': masked numeric pass. No sorting stage follows — mask rows
-  // are ascending, so extraction emits C already in final order.
+  // Stages 5 + 6: numeric SpGEMM and the sorting pass. The estimated merge
+  // re-runs underflowed rows through an exact fallback; the masked pass
+  // needs no sort, since mask rows ascend and C is emitted in final order.
   const std::size_t numeric_trace_mark = trace_.launches().size();
-  MaskedNumericOutcome numeric =
-      run_numeric_masked(ctx, numeric_plan, masked_demand);
+  NumericOutcome numeric;
+  std::vector<index_t> row_nnz;  // exact NNZ per C row; exact mode: `demand`
+  if (exact) {
+    numeric = run_numeric(ctx, numeric_plan, demand);
+  } else if (estimated) {
+    EstimatedNumericOutcome out = run_numeric_estimated(ctx, numeric_plan, demand);
+    numeric = {std::move(out.c), out.stats, out.sorting_seconds,
+               out.radix_sorted_elements};
+    row_nnz = std::move(out.row_nnz);
+  } else {
+    MaskedNumericOutcome out = run_numeric_masked(ctx, numeric_plan, demand);
+    numeric.c = std::move(out.c);
+    numeric.stats = out.stats;
+    row_nnz = std::move(out.row_nnz);
+  }
   diagnostics_.numeric = numeric.stats;
+  diagnostics_.radix_sorted_elements = numeric.radix_sorted_elements;
   result.timeline.add(sim::Stage::kNumeric, numeric.stats.seconds);
-  if (numeric.stats.global_pool_bytes > 0) {
-    if (!memory.allocate(numeric.stats.global_pool_bytes)) {
-      result.status = SpGemmStatus::kOutOfMemory;
-      result.failure_reason = "global hash pool exceeds device memory";
-      return result;
-    }
-    memory.release(numeric.stats.global_pool_bytes);
+  result.timeline.add(sim::Stage::kSorting, numeric.sorting_seconds);
+  if (!memory.reserve_global_pool(numeric.stats.global_pool_bytes) ||
+      !memory.reserve_sort_buffers(numeric.radix_sorted_elements)) {
+    return result;
   }
   const offset_t c_nnz = numeric.c.nnz();
-  const std::size_t c_bytes =
-      (rows + 1) * sizeof(offset_t) +
-      static_cast<std::size_t>(c_nnz) * (sizeof(index_t) + sizeof(value_t));
-  if (!memory.allocate(c_bytes)) {
-    result.status = SpGemmStatus::kOutOfMemory;
-    result.failure_reason = "output matrix exceeds device memory";
-    return result;
+  if (!exact) {
+    if (!memory.reserve_output(a.rows(), c_nnz)) return result;
+    memory.release(staging_bytes);
   }
-  memory.release(staging_bytes);
 
   result.c = std::move(numeric.c);
   result.seconds = result.timeline.total_seconds();
   result.peak_memory_bytes = memory.peak_bytes();
+  if (capture == nullptr) return result;
 
-  if (capture != nullptr) {
-    SpeckPlan& plan = *capture;
-    plan.wide_keys = ctx.wide_keys;
-    plan.row_nnz = std::move(numeric.row_nnz);
-    if (steal_pattern) {
-      std::vector<value_t> discarded_values;
-      result.c.take_arrays(plan.c_row_offsets, plan.c_col_indices,
-                           discarded_values);
-    } else {
-      const std::span<const offset_t> c_offsets = result.c.row_offsets();
-      const std::span<const index_t> c_cols = result.c.col_indices();
-      plan.c_row_offsets.assign(c_offsets.begin(), c_offsets.end());
-      plan.c_col_indices.assign(c_cols.begin(), c_cols.end());
-    }
-    if (static_cast<std::uint64_t>(a.nnz()) >= kMaxReplayIndex ||
-        static_cast<std::uint64_t>(b.nnz()) >= kMaxReplayIndex ||
-        static_cast<std::uint64_t>(c_nnz) >= kMaxReplayIndex) {
-      plan.incomplete_reason =
-          "matrix too large for the 32-bit replay program";
-    } else {
-      plan.program = build_replay_program_masked(ctx, plan.c_row_offsets,
-                                                 plan.c_col_indices);
-      plan.complete = true;
-    }
-    plan.analysis = std::move(analysis);
-    plan.numeric_plan = std::move(numeric_plan);
-    plan.diagnostics = diagnostics_;
-    plan.numeric_seconds = numeric.stats.seconds;
-    plan.sorting_seconds = 0.0;
-    const std::vector<sim::LaunchResult>& launches = trace_.launches();
-    plan.replay_trace.assign(
-        launches.begin() + static_cast<std::ptrdiff_t>(numeric_trace_mark),
-        launches.end());
-    plan.inspect_seconds =
-        result.timeline.seconds(sim::Stage::kAnalysis) +
-        result.timeline.seconds(sim::Stage::kNumericLoadBalance);
+  SpeckPlan& plan = *capture;
+  plan.wide_keys = ctx.wide_keys;
+  if (steal_pattern) {
+    // The caller promised to discard the result: take the pattern arrays
+    // instead of copying them (the values are dropped either way).
+    std::vector<value_t> discarded_values;
+    result.c.take_arrays(plan.c_row_offsets, plan.c_col_indices, discarded_values);
+  } else {
+    const std::span<const offset_t> c_offsets = result.c.row_offsets();
+    const std::span<const index_t> c_cols = result.c.col_indices();
+    plan.c_row_offsets.assign(c_offsets.begin(), c_offsets.end());
+    plan.c_col_indices.assign(c_cols.begin(), c_cols.end());
   }
+  if (static_cast<std::uint64_t>(a.nnz()) >= kMaxReplayIndex ||
+      static_cast<std::uint64_t>(b.nnz()) >= kMaxReplayIndex ||
+      static_cast<std::uint64_t>(c_nnz) >= kMaxReplayIndex) {
+    plan.incomplete_reason = "matrix too large for the 32-bit replay program";
+  } else {
+    // An estimated plan re-derives method selection from the *estimates* —
+    // exactly what the estimated pass executed, which is what keeps replays
+    // bit-identical.
+    plan.program = mask != nullptr
+                       ? build_replay_program_masked(ctx, plan.c_row_offsets,
+                                                     plan.c_col_indices)
+                       : build_replay_program(ctx, numeric_plan, demand,
+                                              plan.c_row_offsets,
+                                              plan.c_col_indices);
+    plan.complete = true;
+  }
+  // The plan stores the *actual* exact counts.
+  plan.row_nnz = std::move(exact ? demand : row_nnz);
+  plan.analysis = std::move(analysis);
+  plan.symbolic_plan = std::move(symbolic_plan);
+  plan.numeric_plan = std::move(numeric_plan);
+  plan.diagnostics = diagnostics_;
+  plan.numeric_seconds = numeric.stats.seconds;
+  plan.sorting_seconds = numeric.sorting_seconds;
+  const std::vector<sim::LaunchResult>& launches = trace_.launches();
+  plan.replay_trace.assign(
+      launches.begin() + static_cast<std::ptrdiff_t>(numeric_trace_mark),
+      launches.end());
+  // Stages a mode skips add an exact 0.0.
+  plan.inspect_seconds = result.timeline.seconds(sim::Stage::kAnalysis) +
+                         result.timeline.seconds(sim::Stage::kSymbolicLoadBalance) +
+                         result.timeline.seconds(sim::Stage::kSymbolic) +
+                         result.timeline.seconds(sim::Stage::kNumericLoadBalance);
   return result;
 }
 
@@ -999,12 +673,8 @@ SymbolicEstimate symbolic_estimate(Speck& speck, const Csr& a, const Csr& b) {
 
   // Numeric load balancing (exact sizes known) — part of what the numeric
   // pass would consume.
-  std::vector<offset_t> numeric_entries(symbolic.row_nnz.size());
-  for (std::size_t r = 0; r < symbolic.row_nnz.size(); ++r) {
-    numeric_entries[r] = static_cast<offset_t>(
-        static_cast<double>(symbolic.row_nnz[r]) / speck.config().max_numeric_fill +
-        1.0);
-  }
+  const std::vector<offset_t> numeric_entries = numeric_lb_entries(
+      symbolic.row_nnz, speck.config().max_numeric_fill, /*faults=*/nullptr);
   sim::Launch numeric_lb("numeric_lb", speck.device(), speck.cost_model());
   const BinPlan numeric_plan =
       plan_global_lb({std::span<const offset_t>(numeric_entries), false},

@@ -11,7 +11,6 @@
 #include "common/deadline.h"
 #include "common/thread_pool.h"
 #include "ref/spgemm_api.h"
-#include "sim/memory_tracker.h"
 #include "speck/config.h"
 #include "speck/kernels.h"
 #include "speck/plan.h"
@@ -62,23 +61,26 @@ class Speck final : public SpGemmAlgorithm {
   TryMultiplyOutcome try_multiply(const Csr& a, const Csr& b) noexcept;
 
   /// Runs the full pipeline once and freezes everything structure-derived
-  /// into a SpeckPlan (docs/performance.md "Structure reuse"). The full
-  /// run's result — including the computed C with the inputs' current
-  /// values — is stored into `*full_result` when non-null. On failure the
-  /// returned plan has `complete == false` and multiply_with_plan falls
-  /// back to the full pipeline. A non-null `cancel` token is polled between
-  /// pipeline phases; an expired/cancelled token throws DeadlineExceeded
-  /// from the coordinating thread (cooperative cancellation — running
-  /// kernels are never interrupted).
+  /// into a SpeckPlan (docs/performance.md "Structure reuse"). Like
+  /// multiply(), a configured SpeckConfig::mask applies: the plan is then
+  /// masked by it, exactly as plan_masked() with that mask. The full run's
+  /// result — including the computed C with the inputs' current values — is
+  /// stored into `*full_result` when non-null. On failure the returned plan
+  /// has `complete == false` and multiply_with_plan falls back to the full
+  /// pipeline. A non-null `cancel` token is polled between pipeline phases;
+  /// an expired/cancelled token throws DeadlineExceeded from the
+  /// coordinating thread (cooperative cancellation — running kernels are
+  /// never interrupted).
   SpeckPlan plan(const Csr& a, const Csr& b, SpGemmResult* full_result = nullptr,
                  const CancelToken* cancel = nullptr);
 
-  /// Masked counterpart of plan(): freezes the masked pipeline's structure
-  /// state (fingerprint includes the mask pattern) so masked products replay
-  /// values-only like any fixed-pattern multiply. Replay the result with
-  /// multiply_with_plan / replay_values_into while SpeckConfig::mask holds
-  /// the same mask — a masked plan is rejected when the configured mask is
-  /// absent or different.
+  /// plan() for the product masked by `mask`, whatever SpeckConfig::mask
+  /// holds: freezes the masked pipeline's structure state (fingerprint
+  /// includes the mask pattern) so masked products replay values-only like
+  /// any fixed-pattern multiply. Replay the result with multiply_with_plan /
+  /// replay_values_into while SpeckConfig::mask holds the same mask — a
+  /// masked plan is rejected when the configured mask is absent or
+  /// different.
   SpeckPlan plan_masked(const Csr& a, const Csr& b, const Csr& mask,
                         SpGemmResult* full_result = nullptr,
                         const CancelToken* cancel = nullptr);
@@ -142,41 +144,35 @@ class Speck final : public SpGemmAlgorithm {
   PlanCache& plan_cache();
 
  private:
-  /// The full pipeline (analysis → LB → symbolic → LB → numeric → sort).
-  /// When `capture` is non-null and the run succeeds, the plan is filled
-  /// with the frozen structure state and replay program. A non-null
-  /// `cancel` token is polled at every stage boundary and throws
+  /// multiply() and multiply_masked(): the transparent plan cache in front
+  /// of run_pipeline, for the product masked by `*mask` (unmasked when
+  /// null).
+  SpGemmResult cached_multiply(const Csr& a, const Csr& b, const Csr* mask);
+
+  /// plan() and plan_masked(): one capturing run_pipeline call.
+  SpeckPlan build_plan(const Csr& a, const Csr& b, const Csr* mask,
+                       SpGemmResult* full_result, const CancelToken* cancel);
+
+  /// The one pipeline driver behind every mode (paper Fig. 2). Each mode
+  /// runs a subset of the six stages; only the demand stage that sizes the
+  /// numeric pass, and the numeric kernel it feeds, differ:
+  ///   exact:     analysis → LB → symbolic → LB → numeric → sort
+  ///   estimated: sampled row estimation → LB → estimated numeric merge
+  ///              (exact per-row fallback) → sort
+  ///   masked (`mask` non-null; the planning mode is ignored):
+  ///              analysis → LB off min(products, mask_row_nnz) → masked
+  ///              numeric (mask rows ascend, so C is born sorted)
+  /// Results are bit-identical across modes (docs/performance.md "Estimated
+  /// planning"). When `capture` is non-null and the run succeeds, the plan
+  /// is filled with the frozen structure state and replay program. A
+  /// non-null `cancel` token is polled at every stage boundary and throws
   /// DeadlineExceeded when expired. `steal_pattern` is a promise from the
-  /// caller that the returned result will be discarded: the capture block
-  /// then moves the C pattern arrays out of result.c into the plan instead
-  /// of copying them (result.c comes back empty).
-  SpGemmResult multiply_full(const Csr& a, const Csr& b, SpeckPlan* capture,
-                             const CancelToken* cancel = nullptr,
-                             bool steal_pattern = false);
-
-  /// The estimated-planning pipeline (sampled estimator → LB → estimated
-  /// numeric merge with exact fallback; the symbolic pass is skipped
-  /// entirely). Entered from multiply_full when the resolved
-  /// SpeckConfig::planning is kEstimated; `ctx` and `memory` carry the
-  /// preamble state multiply_full already set up. Results are bit-identical
-  /// to the exact pipeline (docs/performance.md "Estimated planning").
-  SpGemmResult multiply_estimated(const Csr& a, const Csr& b,
-                                  SpeckPlan* capture, const CancelToken* cancel,
-                                  KernelContext& ctx, sim::MemoryTracker& memory,
-                                  bool steal_pattern);
-
-  /// The masked pipeline (analysis → numeric LB off min(products,
-  /// mask_row_nnz) → masked numeric; no symbolic pass, no sorting — mask
-  /// rows are ascending so the output is born sorted). Same capture /
-  /// cancel / steal_pattern contract as multiply_full.
-  SpGemmResult multiply_masked_full(const Csr& a, const Csr& b,
-                                    const Csr& mask, SpeckPlan* capture,
-                                    const CancelToken* cancel = nullptr,
-                                    bool steal_pattern = false);
-
-  /// The values-only replay of a verified plan (legacy single-caller form:
-  /// writes this instance's diagnostics and trace).
-  SpGemmResult replay_plan(const SpeckPlan& plan, const Csr& a, const Csr& b);
+  /// caller that the returned result will be discarded: the capture then
+  /// moves the C pattern arrays out of result.c into the plan instead of
+  /// copying them (result.c comes back empty).
+  SpGemmResult run_pipeline(const Csr& a, const Csr& b, const Csr* mask,
+                            SpeckPlan* capture, const CancelToken* cancel = nullptr,
+                            bool steal_pattern = false);
 
   /// Shared replay core. Const and member-state-free: diagnostics and the
   /// launch trace are only written through the out-params, values go to

@@ -194,6 +194,40 @@ TEST(MaskedSpeck, PlanFallbackHonorsConfiguredMask) {
   EXPECT_FALSE(diff.has_value()) << diff->description;
 }
 
+TEST(MaskedSpeck, PlanHonorsConfiguredMask) {
+  // plan() dispatches on SpeckConfig::mask the way multiply() does: the
+  // plan is masked, and every replay entry accepts it under that config.
+  const Csr a = gen::random_uniform(300, 300, 8, 77);
+  const Csr mask = gen::random_uniform(300, 300, 4, 78);
+  SpeckConfig cfg;
+  cfg.mask = std::make_shared<const Csr>(mask);
+  Speck speck = make_speck(cfg);
+  const Csr expected = masked_spgemm(a, a, mask);
+
+  SpGemmResult full;
+  const SpeckPlan plan = speck.plan(a, a, &full);
+  ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
+  EXPECT_TRUE(plan.fingerprint.masked);
+  EXPECT_EQ(plan.fingerprint.mask_pattern_hash, csr_pattern_hash(mask));
+  ASSERT_TRUE(full.ok()) << full.failure_reason;
+  EXPECT_EQ(full.c.nnz(), expected.nnz());
+  EXPECT_EQ(plan.c_nnz(), expected.nnz());
+  const auto full_diff = compare(full.c, expected, 0.0);
+  EXPECT_FALSE(full_diff.has_value()) << full_diff->description;
+
+  const SpGemmResult replay = speck.multiply_with_plan(plan, a, a);
+  ASSERT_TRUE(replay.ok()) << replay.failure_reason;
+  EXPECT_FALSE(speck.last_diagnostics().plan_fallback)
+      << speck.last_diagnostics().plan_fallback_reason;
+  const auto diff = compare(replay.c, expected, 0.0);
+  EXPECT_FALSE(diff.has_value()) << diff->description;
+
+  SpeckDiagnostics diag;
+  const SpGemmResult concurrent = speck.multiply_with_plan(plan, a, a, &diag);
+  ASSERT_TRUE(concurrent.ok()) << concurrent.failure_reason;
+  EXPECT_TRUE(diag.masked);
+}
+
 TEST(MaskedSpeck, TransparentCacheHitsOnRepeat) {
   Speck speck = make_speck();
   const Csr a = gen::random_uniform(200, 200, 6, 3031);

@@ -472,9 +472,7 @@ int main(int argc, char** argv) {
       Speck fp_speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
       for (const Csr& p : patterns) {
         fingerprints.push_back(plan_key_hash(
-            mask != nullptr
-                ? plan_fingerprint_masked(p, p, *mask, fp_speck.config())
-                : plan_fingerprint(p, p, fp_speck.config())));
+            plan_fingerprint(p, p, mask.get(), fp_speck.config())));
       }
     }
     if (check) {
