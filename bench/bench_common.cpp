@@ -1,10 +1,13 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -92,6 +95,20 @@ double wall_seconds(const std::function<void()>& fn) {
   return std::chrono::duration<double>(stop - start).count();
 }
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+void abort_run(const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  std::vfprintf(stderr, format, args);
+  va_end(args);
+  std::fputc('\n', stderr);
+  std::exit(2);
+}
+
 std::map<std::string, double> best_seconds_per_matrix(
     const std::vector<Measurement>& measurements) {
   std::map<std::string, double> best;
@@ -101,6 +118,193 @@ std::map<std::string, double> best_seconds_per_matrix(
     if (!inserted) it->second = std::min(it->second, m.seconds);
   }
   return best;
+}
+
+}  // namespace speck::bench
+
+namespace speck::bench {
+
+namespace {
+
+/// Parses a whole string of decimal digits into [min, max].
+bool parse_integer(const char* s, std::uint64_t min, std::uint64_t max,
+                   std::uint64_t* out) {
+  const char* end = s + std::strlen(s);
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(s, end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) return false;
+  *out = value;
+  return true;
+}
+
+/// `s` as a quoted JSON string.
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default: out += c;
+    }
+  }
+  return out + '"';
+}
+
+}  // namespace
+
+void Flags::on(std::string name, std::function<void()> set) {
+  flags_.push_back({std::move(name), "", [set = std::move(set)](const char*) {
+                      set();
+                      return true;
+                    }});
+}
+
+void Flags::count(std::string name, std::function<void(std::size_t)> set) {
+  flags_.push_back({std::move(name), "N", [set = std::move(set)](const char* s) {
+                      std::uint64_t value = 0;
+                      const bool ok =
+                          parse_integer(s, 1, std::numeric_limits<int>::max(), &value);
+                      if (ok) set(static_cast<std::size_t>(value));
+                      return ok;
+                    }});
+}
+
+void Flags::count(std::string name, std::size_t* value) {
+  count(std::move(name), [value](std::size_t n) { *value = n; });
+}
+
+void Flags::threads(std::vector<int>* counts) {
+  count("--threads", [counts](std::size_t n) { *counts = {static_cast<int>(n)}; });
+}
+
+void Flags::number(std::string name, std::string metavar, double* value) {
+  flags_.push_back({std::move(name), std::move(metavar), [value](const char* s) {
+                      char* end = nullptr;
+                      const double parsed = std::strtod(s, &end);
+                      if (*s == '\0' || *end != '\0' || !std::isfinite(parsed)) {
+                        return false;
+                      }
+                      *value = parsed;
+                      return true;
+                    }});
+}
+
+void Flags::integer(std::string name, std::uint64_t* value) {
+  flags_.push_back({std::move(name), "N", [value](const char* s) {
+                      return parse_integer(
+                          s, 0, std::numeric_limits<std::uint64_t>::max(), value);
+                    }});
+}
+
+bool Flags::parse(int argc, char** argv) const {
+  for (int i = 1; i < argc; ++i) {
+    const auto flag =
+        std::find_if(flags_.begin(), flags_.end(),
+                     [&](const Flag& f) { return f.name == argv[i]; });
+    const bool known = flag != flags_.end();
+    if (known && flag->metavar.empty()) {
+      flag->apply(nullptr);
+      continue;
+    }
+    if (known && i + 1 < argc && flag->apply(argv[i + 1])) {
+      ++i;
+      continue;
+    }
+    std::string bad = argv[i];
+    if (known && i + 1 < argc) bad += std::string(" ") + argv[i + 1];
+    std::string usage = "usage: " + std::string(argv[0]);
+    for (const Flag& f : flags_) {
+      usage += " [" + f.name + (f.metavar.empty() ? "" : " " + f.metavar) + "]";
+    }
+    std::fprintf(stderr, "invalid argument: %s\n%s\n", bad.c_str(),
+                 usage.c_str());
+    return false;
+  }
+  return true;
+}
+
+Report::Report(const std::string& bench) { text("bench", bench); }
+
+void Report::put(const std::string& key, std::string rendered) {
+  Fields& fields = in_point_ ? points_.back().second : top_;
+  for (auto& [k, v] : fields) {
+    if (k == key) {
+      v = std::move(rendered);
+      return;
+    }
+  }
+  fields.emplace_back(key, std::move(rendered));
+}
+
+void Report::number(const std::string& key, double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
+  put(key, std::isfinite(value) ? buffer : "null");
+}
+
+void Report::count(const std::string& key, std::size_t value) {
+  put(key, std::to_string(value));
+}
+
+void Report::text(const std::string& key, const std::string& value) {
+  put(key, json_string(value));
+}
+
+void Report::begin_point(int threads) {
+  points_.emplace_back("threads" + std::to_string(threads), Fields{});
+  in_point_ = true;
+  count("threads", static_cast<std::size_t>(threads));
+}
+
+void Report::end_point() { in_point_ = false; }
+
+void Report::fail(const char* format, ...) {
+  failed_ = true;
+  std::fputs("FAIL: ", stderr);
+  va_list args;
+  va_start(args, format);
+  std::vfprintf(stderr, format, args);
+  va_end(args);
+  std::fputc('\n', stderr);
+}
+
+void Report::require_at_least(const char* what, double value, double floor) {
+  if (!(std::isfinite(value) && value >= floor)) {
+    fail("%s %.4g < %.4g", what, value, floor);
+  }
+}
+
+void Report::require_at_most(const char* what, double value, double ceiling) {
+  if (!(std::isfinite(value) && value <= ceiling)) {
+    fail("%s %.4g > %.4g", what, value, ceiling);
+  }
+}
+
+std::string Report::json() const {
+  std::string json = "{\n";
+  for (const auto& [key, value] : top_) {
+    json += "  " + json_string(key) + ": " + value + ",\n";
+  }
+  json += "  \"points\": [";
+  for (std::size_t p = 0; p < points_.size(); ++p) {
+    json += p == 0 ? "\n" : ",\n";
+    json += "    {\"label\": " + json_string(points_[p].first);
+    for (const auto& [key, value] : points_[p].second) {
+      json += ",\n     " + json_string(key) + ": " + value;
+    }
+    json += "}";
+  }
+  json += points_.empty() ? "]\n" : "\n  ]\n";
+  return json + "}\n";
+}
+
+int Report::finish() {
+  in_point_ = false;
+  text("gate", failed_ ? "fail" : "pass");
+  std::fputs(json().c_str(), stdout);
+  return failed_ ? 1 : 0;
 }
 
 }  // namespace speck::bench

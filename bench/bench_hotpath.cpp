@@ -1,9 +1,9 @@
 // Hot-path perf-trajectory benchmark: end-to-end common-corpus wall-clock,
 // ns per simulated block, and heap allocations per block (steady state and
-// warm-up), emitted as key=value lines for tools/bench_to_json.
+// warm-up), printed as BENCH_hotpath.json.
 //
-// This binary installs a counting operator new so the passes' per-block
-// allocation accounting (PassStats::hot_path_allocs, see
+// This binary links the counting operator new (counting_alloc.cpp) so the
+// passes' per-block allocation accounting (PassStats::hot_path_allocs, see
 // common/alloc_counter.h) is live. The steady-state gate is hard: after one
 // warm-up pass over the corpus, every further multiply must execute its
 // block bodies without a single heap allocation, or the benchmark exits
@@ -11,32 +11,11 @@
 //
 // Results are bit-identical at every thread count; only wall-clock varies.
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <new>
-#include <string>
 #include <vector>
 
-#include "common/alloc_counter.h"
+#include "bench_common.h"
 #include "gen/corpus.h"
 #include "speck/speck.h"
-
-// Counting allocator: every successful allocation bumps the thread-local
-// event counter the kernel passes snapshot around block bodies. Frees are
-// not counted — the gate is about allocations, and in a steady state they
-// pair up anyway.
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  ++speck::detail::thread_alloc_events;
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -61,9 +40,8 @@ RunStats run_corpus(Speck& sp, const std::vector<gen::CorpusEntry>& corpus,
     for (const auto& entry : corpus) {
       const SpGemmResult result = sp.multiply(entry.a, entry.b);
       if (!result.ok()) {
-        std::fprintf(stderr, "multiply failed on %s: %s\n", entry.name.c_str(),
-                     result.failure_reason.c_str());
-        std::exit(2);
+        bench::abort_run("multiply failed on %s: %s", entry.name.c_str(),
+                         result.failure_reason.c_str());
       }
       const SpeckDiagnostics& diag = sp.last_diagnostics();
       stats.hot_allocs +=
@@ -75,15 +53,8 @@ RunStats run_corpus(Speck& sp, const std::vector<gen::CorpusEntry>& corpus,
       }
     }
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  stats.wall_seconds = std::chrono::duration<double>(t1 - t0).count() /
-                       static_cast<double>(passes);
+  stats.wall_seconds = bench::seconds_since(t0) / static_cast<double>(passes);
   return stats;
-}
-
-void emit(const char* key, double value) { std::printf("%s=%.6g\n", key, value); }
-void emit_count(const std::string& key, std::size_t value) {
-  std::printf("%s=%zu\n", key.c_str(), value);
 }
 
 }  // namespace
@@ -94,38 +65,27 @@ int main(int argc, char** argv) {
   // Pre-change serial corpus wall-clock recorded on the reference machine
   // (see docs/performance.md); 0 disables the speedup line.
   double baseline_seconds = 1.7970;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      thread_counts = {1};
-      reps = 1;
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_counts = {std::atoi(argv[++i])};
-    } else if (std::strcmp(argv[i], "--baseline-seconds") == 0 && i + 1 < argc) {
-      baseline_seconds = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--reps N] [--threads N] "
-                   "[--baseline-seconds S]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.on("--quick", [&] {
+    thread_counts = {1};
+    reps = 1;
+  });
+  flags.count("--reps", &reps);
+  flags.threads(&thread_counts);
+  flags.number("--baseline-seconds", "S", &baseline_seconds);
+  if (!flags.parse(argc, argv)) return 2;
 
   const auto corpus = gen::common_corpus();
-  std::printf("bench=hotpath\n");
-  emit_count("corpus_matrices", corpus.size());
-  emit_count("reps", reps);
-  emit("baseline_wall_seconds", baseline_seconds);
+  bench::Report report("hotpath");
+  report.count("corpus_matrices", corpus.size());
+  report.count("reps", reps);
+  report.number("baseline_wall_seconds", baseline_seconds);
 
-  bool gate_failed = false;
   for (const int threads : thread_counts) {
     SpeckConfig cfg;
     cfg.host_threads = threads;
     Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
-    std::printf("point=threads%d\n", threads);
-    emit_count("threads", static_cast<std::size_t>(threads));
+    report.begin_point(threads);
 
     // Cold pass: workspaces fill up — allocations are expected here and
     // recorded as the warm-up cost. With multiple workers the block-to-worker
@@ -133,9 +93,10 @@ int main(int argc, char** argv) {
     // largest block only in a later pass; growth is monotone, so warming
     // until one full pass is allocation-free converges in a few passes.
     const RunStats warmup = run_corpus(sp, corpus, 1);
-    emit_count("blocks_per_pass", warmup.blocks);
-    emit("warmup_allocs_per_block", static_cast<double>(warmup.hot_allocs) /
-                                        static_cast<double>(warmup.blocks));
+    report.count("blocks_per_pass", warmup.blocks);
+    report.number("warmup_allocs_per_block",
+                  static_cast<double>(warmup.hot_allocs) /
+                      static_cast<double>(warmup.blocks));
     if (threads > 1) {
       for (int extra = 0; extra < 10; ++extra) {
         if (run_corpus(sp, corpus, 1).hot_allocs == 0) break;
@@ -147,28 +108,23 @@ int main(int argc, char** argv) {
     const double allocs_per_block =
         static_cast<double>(steady.hot_allocs) /
         static_cast<double>(steady.blocks * steady.passes);
-    emit("corpus_wall_seconds", steady.wall_seconds);
-    emit("sim_seconds", steady.sim_seconds);
-    emit("ns_per_block",
-         steady.wall_seconds * 1e9 / static_cast<double>(steady.blocks));
-    emit("steady_state_allocs_per_block", allocs_per_block);
-    emit_count("steady_state_allocs_total", steady.hot_allocs);
+    report.number("corpus_wall_seconds", steady.wall_seconds);
+    report.number("sim_seconds", steady.sim_seconds);
+    report.number("ns_per_block", steady.wall_seconds * 1e9 /
+                                      static_cast<double>(steady.blocks));
+    report.number("steady_state_allocs_per_block", allocs_per_block);
+    report.count("steady_state_allocs_total", steady.hot_allocs);
     if (threads == 1 && baseline_seconds > 0.0) {
-      emit("speedup_vs_baseline", baseline_seconds / steady.wall_seconds);
+      report.number("speedup_vs_baseline", baseline_seconds / steady.wall_seconds);
     }
-    std::printf("point=\n");
+    report.end_point();
     // The hard gate runs at one worker, where warm-up deterministically
     // covers every (workspace, block) pairing yet all code paths execute;
     // multi-worker runs are reported for the trajectory.
-    if (threads == 1 && steady.hot_allocs != 0) gate_failed = true;
+    if (threads == 1 && steady.hot_allocs != 0) {
+      report.fail("steady-state block bodies performed heap allocations "
+                  "(the zero-allocation hot-path gate)");
+    }
   }
-
-  if (gate_failed) {
-    std::fprintf(stderr,
-                 "FAIL: steady-state block bodies performed heap allocations "
-                 "(the zero-allocation hot-path gate)\n");
-    return 1;
-  }
-  std::printf("gate=pass\n");
-  return 0;
+  return report.finish();
 }

@@ -3,7 +3,7 @@
 // (Speck::multiply_masked — no symbolic pass, accumulators sized off
 // min(products, mask row nnz)) against the naive pipeline the mask
 // replaces: full multiply, then filter the product down to the mask
-// positions. Emitted as key=value / point= lines for tools/bench_to_json.
+// positions. Printed as BENCH_masked.json.
 //
 // Four hard gates back the checked-in BENCH_masked.json (CI runs
 // `bench_masked --quick`):
@@ -15,20 +15,17 @@
 //   * every masked C must be bit-identical to the masked-Gustavson oracle,
 //     and every triangle count must agree across masked / filtered / oracle,
 //   * masked plan replays must be bit-identical and perform zero heap
-//     allocations in their hot path (same counting operator new as
-//     bench_hotpath),
+//     allocations in their hot path (live-counted via the counting
+//     operator new of counting_alloc.cpp),
 //   * the transparent plan cache must replay a repeated masked product
 //     (hits >= 1 on the third call).
+#include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
-#include "common/alloc_counter.h"
+#include "bench_common.h"
 #include "gen/corpus.h"
 #include "gen/generators.h"
 #include "matrix/coo.h"
@@ -37,33 +34,9 @@
 #include "speck/plan_cache.h"
 #include "speck/speck.h"
 
-// Counting allocator: every successful allocation bumps the thread-local
-// event counter the replay snapshots around its chunk bodies.
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  ++speck::detail::thread_alloc_events;
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace {
 
 using namespace speck;
-
-void emit(const char* key, double value) { std::printf("%s=%.6g\n", key, value); }
-void emit_count(const char* key, std::size_t value) {
-  std::printf("%s=%zu\n", key, value);
-}
-
-double now_minus(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// Symmetrizes into an undirected pattern (no self-loops, values 1).
 Csr undirected_pattern(const Csr& directed) {
@@ -157,25 +130,15 @@ int main(int argc, char** argv) {
   std::vector<int> thread_counts = {1, 8};
   std::size_t iterations = 3;
   double min_speedup = 2.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      thread_counts = {1};
-      iterations = 2;
-    } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-      iterations = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_counts = {std::atoi(argv[++i])};
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--iterations N] [--threads N] "
-                   "[--min-speedup X]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  if (iterations == 0) iterations = 1;
+  bench::Flags flags;
+  flags.on("--quick", [&] {
+    thread_counts = {1};
+    iterations = 2;
+  });
+  flags.count("--iterations", &iterations);
+  flags.threads(&thread_counts);
+  flags.number("--min-speedup", "X", &min_speedup);
+  if (!flags.parse(argc, argv)) return 2;
 
   const std::vector<TriangleEntry> corpus = make_triangle_corpus();
 
@@ -188,21 +151,19 @@ int main(int argc, char** argv) {
     oracle_triangles += sum_values(oracle[e]);
   }
 
-  std::printf("bench=masked\n");
-  emit_count("corpus_graphs", corpus.size());
-  emit_count("iterations", iterations);
-  emit("min_speedup", min_speedup);
-  emit("triangles", oracle_triangles);
+  bench::Report report("masked");
+  report.count("corpus_graphs", corpus.size());
+  report.count("iterations", iterations);
+  report.number("min_speedup", min_speedup);
+  report.number("triangles", oracle_triangles);
 
-  bool gate_failed = false;
   for (const int threads : thread_counts) {
     SpeckConfig cfg;
     cfg.host_threads = threads;
     cfg.plan_cache = false;  // both paths replan; the cache gets its own gate
     Speck masked_speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
     Speck full_speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
-    std::printf("point=threads%d\n", threads);
-    emit_count("threads", static_cast<std::size_t>(threads));
+    report.begin_point(threads);
 
     // Warm both instances' kernel workspaces with one corpus pass so the
     // timed loops compare steady states rather than first-touch growth.
@@ -211,8 +172,7 @@ int main(int argc, char** argv) {
       if (!masked_speck.multiply_masked(entry.lower, entry.lower, entry.lower)
                .ok() ||
           !full_speck.multiply(entry.lower, entry.lower).ok()) {
-        std::fprintf(stderr, "warm-up multiply failed\n");
-        return 2;
+        bench::abort_run("warm-up multiply failed");
       }
       filter_reserve =
           std::max(filter_reserve, static_cast<std::size_t>(entry.lower.nnz()));
@@ -229,18 +189,16 @@ int main(int argc, char** argv) {
       for (const auto& entry : corpus) {
         SpGemmResult r = full_speck.multiply(entry.lower, entry.lower);
         if (!r.ok()) {
-          std::fprintf(stderr, "full multiply failed on %s: %s\n",
-                       entry.name.c_str(), r.failure_reason.c_str());
-          return 2;
+          bench::abort_run("full multiply failed on %s: %s", entry.name.c_str(),
+                           r.failure_reason.c_str());
         }
         full_triangles += filter_into(r.c, entry.lower, filtered);
       }
     }
-    const double full_wall = now_minus(t_full);
+    const double full_wall = bench::seconds_since(t_full);
 
     // Masked fast path: same deliverable straight from the masked pipeline.
     double masked_triangles = 0.0;
-    bool bit_identical = true;
     const auto t_masked = std::chrono::steady_clock::now();
     for (std::size_t iter = 0; iter < iterations; ++iter) {
       masked_triangles = 0.0;
@@ -248,21 +206,18 @@ int main(int argc, char** argv) {
         SpGemmResult r = masked_speck.multiply_masked(
             corpus[e].lower, corpus[e].lower, corpus[e].lower);
         if (!r.ok()) {
-          std::fprintf(stderr, "masked multiply failed on %s: %s\n",
-                       corpus[e].name.c_str(), r.failure_reason.c_str());
-          return 2;
+          bench::abort_run("masked multiply failed on %s: %s", corpus[e].name.c_str(),
+                           r.failure_reason.c_str());
         }
         masked_triangles += sum_values(r.c);
         if (iter + 1 == iterations && compare(r.c, oracle[e], 0.0).has_value()) {
-          std::fprintf(stderr,
-                       "FAIL: masked product of %s diverges from the "
-                       "masked-Gustavson oracle\n",
-                       corpus[e].name.c_str());
-          bit_identical = false;
+          report.fail("masked product of %s diverges from the "
+                      "masked-Gustavson oracle",
+                      corpus[e].name.c_str());
         }
       }
     }
-    const double masked_wall = now_minus(t_masked);
+    const double masked_wall = bench::seconds_since(t_masked);
 
     // Replay: build each masked plan once, then run values-only replays.
     // The hot path must not allocate and every replay must stay bitwise.
@@ -276,10 +231,8 @@ int main(int argc, char** argv) {
         plans.push_back(
             replay_speck.plan_masked(entry.lower, entry.lower, entry.lower));
         if (!plans.back().complete) {
-          std::fprintf(stderr, "masked planning failed on %s: %s\n",
-                       entry.name.c_str(),
-                       plans.back().incomplete_reason.c_str());
-          return 2;
+          bench::abort_run("masked planning failed on %s: %s", entry.name.c_str(),
+                           plans.back().incomplete_reason.c_str());
         }
       }
       const auto t_replay = std::chrono::steady_clock::now();
@@ -292,21 +245,17 @@ int main(int argc, char** argv) {
               plans[e], corpus[e].lower, corpus[e].lower);
           const SpeckDiagnostics& diag = replay_speck.last_diagnostics();
           if (!r.ok() || diag.plan_fallback) {
-            std::fprintf(stderr, "masked replay failed on %s: %s%s\n",
-                         corpus[e].name.c_str(), r.failure_reason.c_str(),
-                         diag.plan_fallback_reason.c_str());
-            return 2;
+            bench::abort_run("masked replay failed on %s: %s%s", corpus[e].name.c_str(),
+                             r.failure_reason.c_str(), diag.plan_fallback_reason.c_str());
           }
           replay_allocs += diag.numeric.hot_path_allocs;
           if (compare(r.c, oracle[e], 0.0).has_value()) {
-            std::fprintf(stderr,
-                         "FAIL: masked replay of %s is not bit-identical\n",
-                         corpus[e].name.c_str());
-            bit_identical = false;
+            report.fail("masked replay of %s is not bit-identical",
+                        corpus[e].name.c_str());
           }
         }
       }
-      replay_wall = now_minus(t_replay);
+      replay_wall = bench::seconds_since(t_replay);
     }
 
     // Transparent cache: the third identical masked product must replay.
@@ -320,8 +269,7 @@ int main(int argc, char** argv) {
         SpGemmResult r =
             cached.multiply_masked(entry.lower, entry.lower, entry.lower);
         if (!r.ok() || compare(r.c, oracle.front(), 0.0).has_value()) {
-          std::fprintf(stderr, "FAIL: cached masked multiply diverged\n");
-          bit_identical = false;
+          report.fail("cached masked multiply diverged");
           break;
         }
       }
@@ -329,47 +277,31 @@ int main(int argc, char** argv) {
     }
 
     const double speedup = full_wall / masked_wall;
-    emit("full_filter_wall_seconds", full_wall);
-    emit("masked_wall_seconds", masked_wall);
-    emit("replay_wall_seconds", replay_wall);
-    emit("speedup", speedup);
-    emit("masked_triangles", masked_triangles);
-    emit("full_triangles", full_triangles);
-    emit_count("replay_hot_allocs", replay_allocs);
-    emit_count("cache_hits", cache_hits);
-    std::printf("point=\n");
+    report.number("full_filter_wall_seconds", full_wall);
+    report.number("masked_wall_seconds", masked_wall);
+    report.number("replay_wall_seconds", replay_wall);
+    report.number("speedup", speedup);
+    report.number("masked_triangles", masked_triangles);
+    report.number("full_triangles", full_triangles);
+    report.count("replay_hot_allocs", replay_allocs);
+    report.count("cache_hits", cache_hits);
+    report.end_point();
 
     if (masked_triangles != oracle_triangles ||
         full_triangles != oracle_triangles) {
-      std::fprintf(stderr,
-                   "FAIL: triangle counts disagree (masked %.0f, filtered "
-                   "%.0f, oracle %.0f)\n",
-                   masked_triangles, full_triangles, oracle_triangles);
-      gate_failed = true;
+      report.fail("triangle counts disagree (masked %.0f, filtered %.0f, oracle %.0f)",
+                  masked_triangles, full_triangles, oracle_triangles);
     }
     // The speedup gate runs at one worker: the masked win is algorithmic,
     // so a single deterministic thread is its cleanest measurement.
-    if (threads == 1 && speedup < min_speedup) {
-      std::fprintf(stderr, "FAIL: masked speedup %.3f < %.3f\n", speedup,
-                   min_speedup);
-      gate_failed = true;
+    if (threads == 1) {
+      report.require_at_least("masked speedup", speedup, min_speedup);
+      if (replay_allocs != 0) {
+        report.fail("masked replay hot path performed %zu heap allocations",
+                    replay_allocs);
+      }
     }
-    if (threads == 1 && replay_allocs != 0) {
-      std::fprintf(stderr,
-                   "FAIL: masked replay hot path performed %zu heap "
-                   "allocations\n",
-                   replay_allocs);
-      gate_failed = true;
-    }
-    if (cache_hits == 0) {
-      std::fprintf(stderr,
-                   "FAIL: repeated masked product never hit the plan cache\n");
-      gate_failed = true;
-    }
-    if (!bit_identical) gate_failed = true;
+    if (cache_hits == 0) report.fail("repeated masked product never hit the plan cache");
   }
-
-  if (gate_failed) return 1;
-  std::printf("gate=pass\n");
-  return 0;
+  return report.finish();
 }

@@ -1,6 +1,5 @@
 // Estimated-planning benchmark: plan() cost under exact vs estimated
-// planning on the common corpus, emitted as key=value / point= lines for
-// tools/bench_to_json.
+// planning on the common corpus, printed as BENCH_planning.json.
 //
 // Estimated planning (docs/performance.md "Estimated planning") keeps the
 // cheap exact row analysis but replaces the O(products) symbolic pass with a
@@ -17,68 +16,37 @@
 //     carries the run,
 //   * the honest-estimate fallback rate (underflowed rows / planned rows)
 //     must stay under --max-fallback-rate (default 0.25); the rate is also
-//     emitted as fallback_rate= for bench_check --info-metric.
+//     reported as fallback_rate for bench_check --info-metric.
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "gen/corpus.h"
 #include "matrix/ops.h"
 #include "speck/speck.h"
 
-namespace {
-
 using namespace speck;
-
-void emit(const char* key, double value) { std::printf("%s=%.6g\n", key, value); }
-void emit_count(const char* key, std::size_t value) {
-  std::printf("%s=%zu\n", key, value);
-}
-
-double now_minus(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::vector<int> thread_counts = {1, 8};
   std::size_t iterations = 5;
   double min_speedup = 2.0;
   double max_fallback_rate = 0.25;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      thread_counts = {1};
-    } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-      iterations = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_counts = {std::atoi(argv[++i])};
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--max-fallback-rate") == 0 &&
-               i + 1 < argc) {
-      max_fallback_rate = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--iterations N] [--threads N] "
-                   "[--min-speedup X] [--max-fallback-rate F]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.on("--quick", [&] { thread_counts = {1}; });
+  flags.count("--iterations", &iterations);
+  flags.threads(&thread_counts);
+  flags.number("--min-speedup", "X", &min_speedup);
+  flags.number("--max-fallback-rate", "F", &max_fallback_rate);
+  if (!flags.parse(argc, argv)) return 2;
 
   const auto corpus = gen::common_corpus();
-  std::printf("bench=planning\n");
-  emit_count("corpus_matrices", corpus.size());
-  emit_count("iterations", iterations);
-  emit("min_speedup", min_speedup);
-  emit("max_fallback_rate", max_fallback_rate);
+  bench::Report report("planning");
+  report.count("corpus_matrices", corpus.size());
+  report.count("iterations", iterations);
+  report.number("min_speedup", min_speedup);
+  report.number("max_fallback_rate", max_fallback_rate);
 
-  bool gate_failed = false;
   for (const int threads : thread_counts) {
     SpeckConfig cfg;
     cfg.host_threads = threads;
@@ -87,16 +55,14 @@ int main(int argc, char** argv) {
     Speck exact(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
     cfg.planning = PlanningMode::kEstimated;
     Speck estimated(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
-    std::printf("point=threads%d\n", threads);
-    emit_count("threads", static_cast<std::size_t>(threads));
+    report.begin_point(threads);
 
     // Warm both instances' kernel workspaces so the timed loops compare
     // steady states rather than first-touch buffer growth.
     for (const auto& entry : corpus) {
       if (!exact.multiply(entry.a, entry.b).ok() ||
           !estimated.multiply(entry.a, entry.b).ok()) {
-        std::fprintf(stderr, "warm-up multiply failed\n");
-        return 2;
+        bench::abort_run("warm-up multiply failed");
       }
     }
 
@@ -107,13 +73,12 @@ int main(int argc, char** argv) {
       for (const auto& entry : corpus) {
         const SpeckPlan p = exact.plan(entry.a, entry.b);
         if (!p.complete) {
-          std::fprintf(stderr, "exact planning failed on %s: %s\n",
-                       entry.name.c_str(), p.incomplete_reason.c_str());
-          return 2;
+          bench::abort_run("exact planning failed on %s: %s", entry.name.c_str(),
+                           p.incomplete_reason.c_str());
         }
       }
     }
-    const double exact_wall = now_minus(t_exact);
+    const double exact_wall = bench::seconds_since(t_exact);
 
     // Estimated planning: sampled estimator, no symbolic pass; count the
     // rows that underflowed their estimate and re-ran the exact fallback.
@@ -124,16 +89,15 @@ int main(int argc, char** argv) {
       for (const auto& entry : corpus) {
         const SpeckPlan p = estimated.plan(entry.a, entry.b);
         if (!p.complete) {
-          std::fprintf(stderr, "estimated planning failed on %s: %s\n",
-                       entry.name.c_str(), p.incomplete_reason.c_str());
-          return 2;
+          bench::abort_run("estimated planning failed on %s: %s", entry.name.c_str(),
+                           p.incomplete_reason.c_str());
         }
         fallback_rows += static_cast<std::size_t>(
             estimated.last_diagnostics().numeric.estimate_underflow_rows);
         planned_rows += static_cast<std::size_t>(entry.a.rows());
       }
     }
-    const double est_wall = now_minus(t_est);
+    const double est_wall = bench::seconds_since(t_est);
     const double speedup = exact_wall / est_wall;
     const double fallback_rate =
         planned_rows == 0
@@ -145,7 +109,6 @@ int main(int argc, char** argv) {
     // everywhere — first with honest estimates, then with fault injection
     // scaling the sampled estimates down so the fallback path carries most
     // rows (the plan self-corrects; only wall time may change).
-    bool bit_identical = true;
     std::size_t forced_fallback_rows = 0;
     SpeckConfig forced_cfg = cfg;
     forced_cfg.faults.estimator_scale = 0.25;
@@ -155,57 +118,38 @@ int main(int argc, char** argv) {
       const SpGemmResult honest = estimated.multiply(entry.a, entry.b);
       const SpGemmResult fallback = forced.multiply(entry.a, entry.b);
       if (!want.ok() || !honest.ok() || !fallback.ok()) {
-        std::fprintf(stderr, "verification multiply failed on %s\n",
-                     entry.name.c_str());
-        return 2;
+        bench::abort_run("verification multiply failed on %s", entry.name.c_str());
       }
       forced_fallback_rows += static_cast<std::size_t>(
           forced.last_diagnostics().numeric.estimate_underflow_rows);
       if (compare(honest.c, want.c, 0.0).has_value()) {
-        std::fprintf(stderr, "FAIL: estimated C for %s is not bit-identical\n",
-                     entry.name.c_str());
-        bit_identical = false;
+        report.fail("estimated C for %s is not bit-identical", entry.name.c_str());
       }
       if (compare(fallback.c, want.c, 0.0).has_value()) {
-        std::fprintf(stderr,
-                     "FAIL: forced-fallback C for %s is not bit-identical\n",
-                     entry.name.c_str());
-        bit_identical = false;
+        report.fail("forced-fallback C for %s is not bit-identical", entry.name.c_str());
       }
     }
 
-    emit("exact_plan_wall_seconds", exact_wall);
-    emit("estimated_plan_wall_seconds", est_wall);
-    emit("plan_speedup", speedup);
-    emit("fallback_rate", fallback_rate);
-    emit_count("fallback_rows", fallback_rows);
-    emit_count("planned_rows", planned_rows);
-    emit_count("forced_fallback_rows", forced_fallback_rows);
-    std::printf("point=\n");
+    report.number("exact_plan_wall_seconds", exact_wall);
+    report.number("estimated_plan_wall_seconds", est_wall);
+    report.number("plan_speedup", speedup);
+    report.number("fallback_rate", fallback_rate);
+    report.count("fallback_rows", fallback_rows);
+    report.count("planned_rows", planned_rows);
+    report.count("forced_fallback_rows", forced_fallback_rows);
+    report.end_point();
 
     // Speedup and fallback gates bind at one worker (deterministic steady
     // state); multi-worker points are reported for the trajectory.
     // Bit-identity gates everywhere.
-    if (threads == 1 && speedup < min_speedup) {
-      std::fprintf(stderr, "FAIL: plan speedup %.3f < %.3f\n", speedup,
-                   min_speedup);
-      gate_failed = true;
-    }
-    if (threads == 1 && fallback_rate > max_fallback_rate) {
-      std::fprintf(stderr, "FAIL: fallback rate %.4f > %.4f\n", fallback_rate,
-                   max_fallback_rate);
-      gate_failed = true;
+    if (threads == 1) {
+      report.require_at_least("plan speedup", speedup, min_speedup);
+      report.require_at_most("fallback rate", fallback_rate, max_fallback_rate);
     }
     if (forced_fallback_rows == 0) {
-      std::fprintf(stderr,
-                   "FAIL: estimator-scale=0.25 forced no fallback rows — the "
-                   "fault path is not exercising the fallback machinery\n");
-      gate_failed = true;
+      report.fail("estimator-scale=0.25 forced no fallback rows — the fault "
+                  "path is not exercising the fallback machinery");
     }
-    if (!bit_identical) gate_failed = true;
   }
-
-  if (gate_failed) return 1;
-  std::printf("gate=pass\n");
-  return 0;
+  return report.finish();
 }

@@ -1,7 +1,7 @@
 // Structure-reuse benchmark: repeated multiplies with a fixed sparsity
 // pattern, comparing the full pipeline (replanning every iteration) against
 // Speck::plan + Speck::multiply_with_plan (plan once, replay values-only),
-// emitted as key=value / point= lines for tools/bench_to_json.
+// printed as BENCH_reuse.json.
 //
 // The loop mirrors the iterative-application pattern the plan cache targets
 // (AMG cycles, Newton steps): `--iterations` multiplies per corpus entry,
@@ -12,95 +12,48 @@
 //     --min-speedup (default 3x) at one thread,
 //   * every replayed C must be bit-identical to the full pipeline's,
 //   * the replay hot path must perform zero heap allocations (live-counted
-//     via the same counting operator new as bench_hotpath).
+//     via the counting operator new of counting_alloc.cpp).
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <new>
-#include <string>
 #include <vector>
 
-#include "common/alloc_counter.h"
+#include "bench_common.h"
 #include "gen/corpus.h"
 #include "matrix/ops.h"
 #include "speck/speck.h"
 
-// Counting allocator: every successful allocation bumps the thread-local
-// event counter the replay snapshots around its chunk bodies.
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  ++speck::detail::thread_alloc_events;
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-namespace {
-
 using namespace speck;
-
-void emit(const char* key, double value) { std::printf("%s=%.6g\n", key, value); }
-void emit_count(const char* key, std::size_t value) {
-  std::printf("%s=%zu\n", key, value);
-}
-
-double now_minus(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::vector<int> thread_counts = {1, 8};
   std::size_t iterations = 10;
   double min_speedup = 3.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      thread_counts = {1};
-    } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-      iterations = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_counts = {std::atoi(argv[++i])};
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--iterations N] [--threads N] "
-                   "[--min-speedup X]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.on("--quick", [&] { thread_counts = {1}; });
+  flags.count("--iterations", &iterations);
+  flags.threads(&thread_counts);
+  flags.number("--min-speedup", "X", &min_speedup);
+  if (!flags.parse(argc, argv)) return 2;
 
   const auto corpus = gen::common_corpus();
-  std::printf("bench=reuse\n");
-  emit_count("corpus_matrices", corpus.size());
-  emit_count("iterations", iterations);
-  emit("min_speedup", min_speedup);
+  bench::Report report("reuse");
+  report.count("corpus_matrices", corpus.size());
+  report.count("iterations", iterations);
+  report.number("min_speedup", min_speedup);
 
-  bool gate_failed = false;
   for (const int threads : thread_counts) {
     SpeckConfig cfg;
     cfg.host_threads = threads;
     cfg.plan_cache = false;  // both paths are explicit; no transparent cache
     Speck full(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
     Speck reuse(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
-    std::printf("point=threads%d\n", threads);
-    emit_count("threads", static_cast<std::size_t>(threads));
+    report.begin_point(threads);
 
     // Warm both instances' kernel workspaces with one full corpus pass, so
     // the timed loops compare steady states rather than first-touch growth.
     for (const auto& entry : corpus) {
       if (!full.multiply(entry.a, entry.b).ok() ||
           !reuse.multiply(entry.a, entry.b).ok()) {
-        std::fprintf(stderr, "warm-up multiply failed\n");
-        return 2;
+        bench::abort_run("warm-up multiply failed");
       }
     }
 
@@ -112,15 +65,14 @@ int main(int argc, char** argv) {
       for (std::size_t e = 0; e < corpus.size(); ++e) {
         SpGemmResult r = full.multiply(corpus[e].a, corpus[e].b);
         if (!r.ok()) {
-          std::fprintf(stderr, "full multiply failed on %s: %s\n",
-                       corpus[e].name.c_str(), r.failure_reason.c_str());
-          return 2;
+          bench::abort_run("full multiply failed on %s: %s", corpus[e].name.c_str(),
+                           r.failure_reason.c_str());
         }
         if (iter == 0) full_sim += r.seconds;
         if (iter + 1 == iterations) full_c[e] = std::move(r.c);
       }
     }
-    const double full_wall = now_minus(t_full);
+    const double full_wall = bench::seconds_since(t_full);
 
     // Reuse: plan once per entry (timed — the speedup is end-to-end), then
     // run the values-only replay for every iteration.
@@ -128,7 +80,6 @@ int main(int argc, char** argv) {
     double reuse_sim = 0.0;
     std::size_t plan_bytes = 0;
     std::size_t replay_allocs = 0;
-    bool bit_identical = true;
     const auto t_reuse = std::chrono::steady_clock::now();
     {
       std::vector<SpeckPlan> plans;
@@ -137,67 +88,52 @@ int main(int argc, char** argv) {
       for (const auto& entry : corpus) {
         plans.push_back(reuse.plan(entry.a, entry.b));
         if (!plans.back().complete) {
-          std::fprintf(stderr, "planning failed on %s: %s\n",
-                       entry.name.c_str(),
-                       plans.back().incomplete_reason.c_str());
-          return 2;
+          bench::abort_run("planning failed on %s: %s", entry.name.c_str(),
+                           plans.back().incomplete_reason.c_str());
         }
         plan_bytes += plans.back().byte_size();
       }
-      plan_wall = now_minus(t_plan);
+      plan_wall = bench::seconds_since(t_plan);
       for (std::size_t iter = 0; iter < iterations; ++iter) {
         for (std::size_t e = 0; e < corpus.size(); ++e) {
           SpGemmResult r =
               reuse.multiply_with_plan(plans[e], corpus[e].a, corpus[e].b);
           const SpeckDiagnostics& diag = reuse.last_diagnostics();
           if (!r.ok() || diag.plan_fallback) {
-            std::fprintf(stderr, "replay failed on %s: %s%s\n",
-                         corpus[e].name.c_str(), r.failure_reason.c_str(),
-                         diag.plan_fallback_reason.c_str());
-            return 2;
+            bench::abort_run("replay failed on %s: %s%s", corpus[e].name.c_str(),
+                             r.failure_reason.c_str(), diag.plan_fallback_reason.c_str());
           }
           replay_allocs += diag.numeric.hot_path_allocs;
           if (iter == 0) reuse_sim += r.seconds;
           if (iter + 1 == iterations &&
               compare(r.c, full_c[e], 0.0).has_value()) {
-            std::fprintf(stderr, "FAIL: replay of %s is not bit-identical\n",
-                         corpus[e].name.c_str());
-            bit_identical = false;
+            report.fail("replay of %s is not bit-identical", corpus[e].name.c_str());
           }
         }
       }
     }
-    const double reuse_wall = now_minus(t_reuse);
+    const double reuse_wall = bench::seconds_since(t_reuse);
 
     const double speedup = full_wall / reuse_wall;
-    emit("full_wall_seconds", full_wall);
-    emit("plan_wall_seconds", plan_wall);
-    emit("reuse_wall_seconds", reuse_wall);
-    emit("speedup", speedup);
-    emit("full_sim_seconds", full_sim);
-    emit("reuse_sim_seconds", reuse_sim);
-    emit("sim_speedup", full_sim / reuse_sim);
-    emit_count("plan_bytes", plan_bytes);
-    emit_count("replay_hot_allocs", replay_allocs);
-    std::printf("point=\n");
+    report.number("full_wall_seconds", full_wall);
+    report.number("plan_wall_seconds", plan_wall);
+    report.number("reuse_wall_seconds", reuse_wall);
+    report.number("speedup", speedup);
+    report.number("full_sim_seconds", full_sim);
+    report.number("reuse_sim_seconds", reuse_sim);
+    report.number("sim_speedup", full_sim / reuse_sim);
+    report.count("plan_bytes", plan_bytes);
+    report.count("replay_hot_allocs", replay_allocs);
+    report.end_point();
 
     // Gates run at one worker (deterministic steady state); multi-worker
     // points are reported for the trajectory.
-    if (threads == 1 && speedup < min_speedup) {
-      std::fprintf(stderr, "FAIL: reuse speedup %.3f < %.3f\n", speedup,
-                   min_speedup);
-      gate_failed = true;
+    if (threads == 1) {
+      report.require_at_least("reuse speedup", speedup, min_speedup);
+      if (replay_allocs != 0) {
+        report.fail("replay hot path performed %zu heap allocations", replay_allocs);
+      }
     }
-    if (threads == 1 && replay_allocs != 0) {
-      std::fprintf(stderr,
-                   "FAIL: replay hot path performed %zu heap allocations\n",
-                   replay_allocs);
-      gate_failed = true;
-    }
-    if (!bit_identical) gate_failed = true;
   }
-
-  if (gate_failed) return 1;
-  std::printf("gate=pass\n");
-  return 0;
+  return report.finish();
 }

@@ -2,16 +2,16 @@
 // mix of fixed-pattern multiplies against one shared Speck, comparing the
 // mutex-serialized legacy replay (every request takes one global lock around
 // Speck::multiply_with_plan) with SpeckService's lock-free replay path
-// (multiply_into + leased client workspaces). Emitted as key=value / point=
-// lines for tools/bench_to_json; backs the checked-in BENCH_service.json.
+// (multiply_into + leased client workspaces). Printed as JSON; backs the
+// checked-in BENCH_service.json.
 //
 // Hard gates (CI runs `bench_service --quick`):
 //
 //   * every served result must be bit-identical to the Gustavson reference
 //     for its pattern (always enforced),
 //   * the steady-state replay must perform zero hot-path heap allocations
-//     (always enforced, measured single-threaded via the same counting
-//     operator new as bench_reuse),
+//     (always enforced, measured single-threaded via the counting operator
+//     new of counting_alloc.cpp),
 //   * service throughput must reach --min-speedup (default 3x) over the
 //     serialized baseline at 8 client threads — enforced only when the
 //     machine has >= 8 hardware cores, since on fewer cores both sides
@@ -21,17 +21,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <span>
 #include <thread>
 #include <vector>
 
-#include "common/alloc_counter.h"
+#include "bench_common.h"
 #include "common/prng.h"
 #include "gen/generators.h"
 #include "matrix/ops.h"
@@ -39,33 +35,9 @@
 #include "speck/service.h"
 #include "speck/speck.h"
 
-// Counting allocator: every successful allocation bumps the thread-local
-// event counter the replay snapshots around its op loop.
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  ++speck::detail::thread_alloc_events;
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace {
 
 using namespace speck;
-
-void emit(const char* key, double value) { std::printf("%s=%.6g\n", key, value); }
-void emit_count(const char* key, std::size_t value) {
-  std::printf("%s=%zu\n", key, value);
-}
-
-double now_minus(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// The serving pattern mix: distinct structures of serving-sized matrices.
 std::vector<Csr> make_patterns() {
@@ -148,40 +120,29 @@ int main(int argc, char** argv) {
   double zipf_s = 1.0;
   double min_speedup = 3.0;
   std::uint64_t seed = 42;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      thread_counts = {1, 8};
-      requests = 150;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_counts = {std::atoi(argv[++i])};
-    } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-      requests = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--zipf") == 0 && i + 1 < argc) {
-      zipf_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--threads N] [--requests N] "
-                   "[--zipf S] [--min-speedup X] [--seed N]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.on("--quick", [&] {
+    thread_counts = {1, 8};
+    requests = 150;
+  });
+  flags.threads(&thread_counts);
+  flags.count("--requests", &requests);
+  flags.number("--zipf", "S", &zipf_s);
+  flags.number("--min-speedup", "X", &min_speedup);
+  flags.integer("--seed", &seed);
+  if (!flags.parse(argc, argv)) return 2;
 
   const unsigned cores = std::thread::hardware_concurrency();
   const std::vector<Csr> patterns = make_patterns();
   std::vector<Csr> refs;
   for (const Csr& a : patterns) refs.push_back(gustavson_spgemm(a, a));
 
-  std::printf("bench=service\n");
-  emit_count("cores", cores);
-  emit_count("patterns", patterns.size());
-  emit_count("requests_per_thread", requests);
-  emit("zipf_s", zipf_s);
-  emit("min_speedup", min_speedup);
+  bench::Report report("service");
+  report.count("cores", cores);
+  report.count("patterns", patterns.size());
+  report.count("requests_per_thread", requests);
+  report.number("zipf_s", zipf_s);
+  report.number("min_speedup", min_speedup);
 
   SpeckConfig cfg;
   cfg.host_threads = 1;  // replay runs serially per client; no nested pools
@@ -195,10 +156,7 @@ int main(int argc, char** argv) {
   for (const Csr& a : patterns) {
     Status st;
     std::shared_ptr<const SpeckPlan> plan = service.plan_for(a, a, &st);
-    if (plan == nullptr) {
-      std::fprintf(stderr, "planning failed: %s\n", st.message.c_str());
-      return 2;
-    }
+    if (plan == nullptr) bench::abort_run("planning failed: %s", st.message.c_str());
     plans.push_back(std::move(plan));
   }
 
@@ -214,18 +172,17 @@ int main(int argc, char** argv) {
       SpeckDiagnostics diag;
       SpGemmResult r = sp.replay_values_into(*plans[p], patterns[p],
                                              patterns[p], buf, &diag);
-      if (!r.ok()) {
-        std::fprintf(stderr, "replay failed: %s\n", r.failure_reason.c_str());
-        return 2;
-      }
+      if (!r.ok()) bench::abort_run("replay failed: %s", r.failure_reason.c_str());
       hot_allocs += diag.numeric.hot_path_allocs;
     }
   }
-  emit_count("replay_hot_allocs", hot_allocs);
+  report.count("replay_hot_allocs", hot_allocs);
+  if (hot_allocs != 0) {
+    report.fail("replay hot path performed %zu allocations", hot_allocs);
+  }
 
   // Gate 2 (always): every pattern's served values are bit-identical to the
   // Gustavson reference.
-  bool bit_identical = true;
   {
     std::vector<value_t> buf;
     for (std::size_t p = 0; p < patterns.size(); ++p) {
@@ -234,24 +191,16 @@ int main(int argc, char** argv) {
       const std::span<const value_t> want = refs[p].values();
       if (!resp.ok() || resp.c_nnz != refs[p].nnz() ||
           !std::equal(buf.begin(), buf.end(), want.begin(), want.end())) {
-        std::fprintf(stderr, "FAIL: pattern %zu served values diverge\n", p);
-        bit_identical = false;
+        report.fail("pattern %zu served values diverge", p);
       }
     }
-  }
-
-  bool gate_failed = !bit_identical || hot_allocs != 0;
-  if (hot_allocs != 0) {
-    std::fprintf(stderr, "FAIL: replay hot path performed %zu allocations\n",
-                 hot_allocs);
   }
 
   std::mutex legacy_mutex;  // the baseline's single global lock
   for (const int threads : thread_counts) {
     const auto schedules = make_schedules(threads, requests,
                                           patterns.size(), zipf_s, seed);
-    std::printf("point=threads%d\n", threads);
-    emit_count("threads", static_cast<std::size_t>(threads));
+    report.begin_point(threads);
 
     // Baseline: mutex-serialized legacy replay. Every client takes the one
     // lock because the legacy entry point mutates Speck member state.
@@ -265,7 +214,7 @@ int main(int argc, char** argv) {
         clients.emplace_back([&, t] { body(t); });
       }
       for (auto& th : clients) th.join();
-      return now_minus(t0);
+      return bench::seconds_since(t0);
     };
 
     for (auto& v : lat) {
@@ -280,7 +229,7 @@ int main(int argc, char** argv) {
         SpGemmResult r =
             sp.multiply_with_plan(*plans[p], patterns[p], patterns[p]);
         if (!r.ok()) errors.fetch_add(1, std::memory_order_relaxed);
-        my_lat.push_back(now_minus(r0));
+        my_lat.push_back(bench::seconds_since(r0));
       }
     });
     const LatencyReport serialized_lat = merge_latencies(lat);
@@ -298,61 +247,50 @@ int main(int argc, char** argv) {
         SpeckService::Response resp =
             service.multiply_into(patterns[p], patterns[p], buf);
         if (!resp.ok()) errors.fetch_add(1, std::memory_order_relaxed);
-        my_lat.push_back(now_minus(r0));
+        my_lat.push_back(bench::seconds_since(r0));
       }
     });
     const LatencyReport service_lat = merge_latencies(lat);
 
-    if (errors.load() != 0) {
-      std::fprintf(stderr, "FAIL: %zu requests errored\n", errors.load());
-      gate_failed = true;
-    }
+    if (errors.load() != 0) report.fail("%zu requests errored", errors.load());
 
     const double total =
         static_cast<double>(requests) * static_cast<double>(threads);
     const double speedup = serialized_wall / service_wall;
-    emit("serialized_wall_seconds", serialized_wall);
-    emit("service_wall_seconds", service_wall);
-    emit("serialized_rps", total / serialized_wall);
-    emit("service_rps", total / service_wall);
-    emit("speedup", speedup);
-    emit("serialized_p50_us", serialized_lat.p50_us);
-    emit("serialized_p99_us", serialized_lat.p99_us);
-    emit("service_p50_us", service_lat.p50_us);
-    emit("service_p90_us", service_lat.p90_us);
-    emit("service_p99_us", service_lat.p99_us);
-    emit("service_max_us", service_lat.max_us);
-    std::printf("point=\n");
+    report.number("serialized_wall_seconds", serialized_wall);
+    report.number("service_wall_seconds", service_wall);
+    report.number("serialized_rps", total / serialized_wall);
+    report.number("service_rps", total / service_wall);
+    report.number("speedup", speedup);
+    report.number("serialized_p50_us", serialized_lat.p50_us);
+    report.number("serialized_p99_us", serialized_lat.p99_us);
+    report.number("service_p50_us", service_lat.p50_us);
+    report.number("service_p90_us", service_lat.p90_us);
+    report.number("service_p99_us", service_lat.p99_us);
+    report.number("service_max_us", service_lat.max_us);
+    report.end_point();
 
-    if (threads >= 8 && cores >= 8 && speedup < min_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: service speedup %.3f < %.3f at %d threads "
-                   "(%u cores)\n",
-                   speedup, min_speedup, threads, cores);
-      gate_failed = true;
+    if (threads >= 8 && cores >= 8) {
+      report.require_at_least("service speedup at 8+ threads", speedup, min_speedup);
     }
   }
 
   const ServiceStats stats = service.stats();
-  emit_count("service_requests", stats.requests);
-  emit_count("service_replays", stats.replays);
-  emit_count("plans_built", stats.plans_built);
-  emit_count("admission_rejected", stats.rejected);
+  report.count("service_requests", stats.requests);
+  report.count("service_replays", stats.replays);
+  report.count("plans_built", stats.plans_built);
+  report.count("admission_rejected", stats.rejected);
   // Lifecycle counters (informational: no deadlines/faults are configured
   // here, so all three must stay 0 — bench_check reports them without
   // gating via --info-metric).
-  emit_count("service_shed", stats.shed);
-  emit_count("service_timed_out", stats.timed_out);
-  emit_count("service_degraded", stats.degraded);
-  emit_count("cache_entries", stats.cache.entries);
-  emit_count("cache_bytes", stats.cache.bytes);
+  report.count("service_shed", stats.shed);
+  report.count("service_timed_out", stats.timed_out);
+  report.count("service_degraded", stats.degraded);
+  report.count("cache_entries", stats.cache.entries);
+  report.count("cache_bytes", stats.cache.bytes);
   if (stats.rejected != 0) {
-    std::fprintf(stderr, "FAIL: %llu requests rejected with no budget set\n",
-                 static_cast<unsigned long long>(stats.rejected));
-    gate_failed = true;
+    report.fail("%llu requests rejected with no budget set",
+                static_cast<unsigned long long>(stats.rejected));
   }
-
-  if (gate_failed) return 1;
-  std::printf("gate=pass\n");
-  return 0;
+  return report.finish();
 }

@@ -1,6 +1,6 @@
 // SIMD backend benchmark: the full pipeline on the common corpus with the
 // scalar reference backend vs the best vector backend the CPU offers,
-// emitted as key=value / point= lines for tools/bench_to_json.
+// printed as BENCH_simd.json.
 //
 // Two hard gates back the checked-in BENCH_simd.json (CI runs
 // `bench_simd --quick`):
@@ -16,11 +16,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/simd.h"
 #include "gen/corpus.h"
 #include "matrix/ops.h"
@@ -29,16 +27,6 @@
 namespace {
 
 using namespace speck;
-
-void emit(const char* key, double value) { std::printf("%s=%.6g\n", key, value); }
-void emit_count(const char* key, std::size_t value) {
-  std::printf("%s=%zu\n", key, value);
-}
-
-double now_minus(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// One timed corpus sweep: `iterations` full multiplies per entry. Returns
 /// wall seconds; fills `cs` with the last iteration's outputs and sums the
@@ -55,15 +43,14 @@ double timed_sweep(Speck& sp, const std::vector<gen::CorpusEntry>& corpus,
     for (std::size_t e = 0; e < corpus.size(); ++e) {
       SpGemmResult r = sp.multiply(corpus[e].a, corpus[e].b);
       if (!r.ok()) {
-        std::fprintf(stderr, "multiply failed on %s: %s\n",
-                     corpus[e].name.c_str(), r.failure_reason.c_str());
-        std::exit(2);
+        bench::abort_run("multiply failed on %s: %s", corpus[e].name.c_str(),
+                         r.failure_reason.c_str());
       }
       if (iter == 0) sim_seconds += r.seconds;
       if (iter + 1 == iterations) cs[e] = std::move(r.c);
     }
   }
-  return now_minus(t0);
+  return bench::seconds_since(t0);
 }
 
 }  // namespace
@@ -72,37 +59,26 @@ int main(int argc, char** argv) {
   std::vector<int> thread_counts = {1, 8};
   std::size_t iterations = 3;
   double min_speedup = 1.25;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      thread_counts = {1};
-    } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-      iterations = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      thread_counts = {std::atoi(argv[++i])};
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--iterations N] [--threads N] "
-                   "[--min-speedup X]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.on("--quick", [&] { thread_counts = {1}; });
+  flags.count("--iterations", &iterations);
+  flags.threads(&thread_counts);
+  flags.number("--min-speedup", "X", &min_speedup);
+  if (!flags.parse(argc, argv)) return 2;
 
   const SimdBackend vector_backend = simd::detected_backend();
   const auto corpus = gen::common_corpus();
-  std::printf("bench=simd\n");
-  emit_count("corpus_matrices", corpus.size());
-  emit_count("iterations", iterations);
-  emit("min_speedup", min_speedup);
-  std::printf("vector_backend=%s\n", simd::backend_name(vector_backend));
+  bench::Report report("simd");
+  report.count("corpus_matrices", corpus.size());
+  report.count("iterations", iterations);
+  report.number("min_speedup", min_speedup);
+  report.text("vector_backend", simd::backend_name(vector_backend));
   if (vector_backend == SimdBackend::kScalar) {
-    std::printf("gate=skipped (no vector backend on this CPU)\n");
+    report.text("gate", "skipped (no vector backend on this CPU)");
+    std::fputs(report.json().c_str(), stdout);
     return 0;
   }
 
-  bool gate_failed = false;
   for (const int threads : thread_counts) {
     SpeckConfig cfg;
     cfg.host_threads = threads;
@@ -111,16 +87,14 @@ int main(int argc, char** argv) {
     Speck scalar_sp(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
     cfg.simd_backend = vector_backend;
     Speck vector_sp(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
-    std::printf("point=threads%d\n", threads);
-    emit_count("threads", static_cast<std::size_t>(threads));
+    report.begin_point(threads);
 
     // One untimed corpus pass per instance warms the kernel workspaces, so
     // the timed sweeps compare steady states rather than first-touch growth.
     for (const auto& entry : corpus) {
       if (!scalar_sp.multiply(entry.a, entry.b).ok() ||
           !vector_sp.multiply(entry.a, entry.b).ok()) {
-        std::fprintf(stderr, "warm-up multiply failed\n");
-        return 2;
+        bench::abort_run("warm-up multiply failed");
       }
     }
 
@@ -143,38 +117,27 @@ int main(int argc, char** argv) {
     bool bit_identical = true;
     for (std::size_t e = 0; e < corpus.size(); ++e) {
       if (compare(vector_c[e], scalar_c[e], 0.0).has_value()) {
-        std::fprintf(stderr, "FAIL: %s differs between backends\n",
-                     corpus[e].name.c_str());
+        report.fail("%s differs between backends", corpus[e].name.c_str());
         bit_identical = false;
       }
     }
     if (scalar_sim != vector_sim) {
-      std::fprintf(stderr,
-                   "FAIL: simulated seconds differ between backends "
-                   "(%.9g vs %.9g)\n",
-                   scalar_sim, vector_sim);
+      report.fail("simulated seconds differ between backends (%.9g vs %.9g)",
+                  scalar_sim, vector_sim);
       bit_identical = false;
     }
 
     const double speedup = scalar_wall / vector_wall;
-    emit("scalar_wall_seconds", scalar_wall);
-    emit("vector_wall_seconds", vector_wall);
-    emit("speedup", speedup);
-    emit("sim_seconds", scalar_sim);
-    emit_count("bit_identical", bit_identical ? 1 : 0);
-    std::printf("point=\n");
+    report.number("scalar_wall_seconds", scalar_wall);
+    report.number("vector_wall_seconds", vector_wall);
+    report.number("speedup", speedup);
+    report.number("sim_seconds", scalar_sim);
+    report.count("bit_identical", bit_identical ? 1 : 0);
+    report.end_point();
 
     // The speedup gate runs at one worker; multi-worker points are reported
     // for the trajectory (thread-pool overhead dilutes per-loop gains).
-    if (threads == 1 && speedup < min_speedup) {
-      std::fprintf(stderr, "FAIL: simd speedup %.3f < %.3f\n", speedup,
-                   min_speedup);
-      gate_failed = true;
-    }
-    if (!bit_identical) gate_failed = true;
+    if (threads == 1) report.require_at_least("simd speedup", speedup, min_speedup);
   }
-
-  if (gate_failed) return 1;
-  std::printf("gate=pass\n");
-  return 0;
+  return report.finish();
 }

@@ -2,8 +2,9 @@
 // zero-allocation hot-path guarantee.
 //
 // The library itself never counts anything: `thread_alloc_events` only moves
-// when a binary (bench_hotpath, test_workspace) overrides the global
-// operator new/delete to bump it. The symbolic/numeric passes snapshot the
+// when a binary overrides the global operator new/delete to bump it: the
+// allocation-gated bench drivers and tests link bench/counting_alloc.cpp,
+// and perfbench installs its own. The symbolic/numeric passes snapshot the
 // counter around every block body and accumulate the delta into
 // `PassStats::hot_path_allocs`, so "allocations per block" is measured over
 // exactly the per-block hot path — not over per-multiply setup such as

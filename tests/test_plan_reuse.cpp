@@ -9,30 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
-#include "common/alloc_counter.h"
 #include "common/prng.h"
 #include "gen/generators.h"
 #include "matrix/ops.h"
 #include "ref/gustavson.h"
 #include "speck/speck.h"
 
-// Counting allocator (as in bench_hotpath): makes the replay path's
-// zero-allocation claim observable via PassStats::hot_path_allocs.
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  ++speck::detail::thread_alloc_events;
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The build links bench/counting_alloc.cpp into this test, which makes
+// PassStats::hot_path_allocs count real heap allocations.
 
 namespace speck {
 namespace {

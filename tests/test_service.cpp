@@ -10,14 +10,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <span>
 #include <thread>
 #include <vector>
 
-#include "common/alloc_counter.h"
 #include "common/prng.h"
 #include "gen/generators.h"
 #include "matrix/ops.h"
@@ -25,19 +22,8 @@
 #include "speck/service.h"
 #include "speck/speck.h"
 
-// Counting allocator (as in bench_reuse): makes the replay path's
-// zero-allocation claim observable via PassStats::hot_path_allocs.
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  ++speck::detail::thread_alloc_events;
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The build links bench/counting_alloc.cpp into this test, which makes
+// PassStats::hot_path_allocs count real heap allocations.
 
 namespace speck {
 namespace {

@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <new>
 #include <set>
 #include <vector>
 
@@ -22,19 +20,8 @@
 #include "speck/speck.h"
 #include "speck/workspace.h"
 
-// Counting allocator: makes PassStats::hot_path_allocs live in this binary
-// (see common/alloc_counter.h). Frees are uncounted on purpose.
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  ++speck::detail::thread_alloc_events;
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The build links bench/counting_alloc.cpp into this test, which makes
+// PassStats::hot_path_allocs count real heap allocations.
 
 namespace speck {
 namespace {

@@ -4,8 +4,8 @@
 //               [--metric NAME]... [--info-metric NAME]...
 //               [--max-regression F] [--report FILE]
 //
-// Compares a fresh benchmark run (bench binary piped through bench_to_json)
-// against the checked-in baseline JSON. For every `--metric` (repeatable;
+// Compares a fresh benchmark run (the JSON a bench_* driver prints) against
+// the checked-in baseline JSON. For every `--metric` (repeatable;
 // default: speedup) and every point label present in both files, the fresh
 // value must not fall below baseline * (1 - max-regression); metrics are
 // higher-is-better (speedups, requests/second). Top-level metrics are
@@ -24,9 +24,9 @@
 // or nothing compared (a gate that silently compares nothing is a broken
 // gate), 2 usage or unreadable/unparseable input.
 //
-// The parser covers exactly the JSON subset bench_to_json emits: one object
-// of scalars plus a "points" array of flat objects; strings, numbers,
-// true/false/null.
+// The parser covers exactly the JSON subset bench::Report writes
+// (bench/bench_common.h): one object of scalars plus a "points" array of
+// flat objects; strings, numbers, true/false/null.
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
