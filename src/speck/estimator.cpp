@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <variant>
 
@@ -70,9 +69,10 @@ std::vector<RowMethod> methods_for_plan(const KernelContext& ctx,
 
 /// Merges one row of C into `dst_cols`/`dst_vals` (capacity `cap` slots) via
 /// the worker's column-scatter map, returning the row's *actual* NNZ — the
-/// count keeps going past `cap`, only the stores stop. Fitting non-direct
-/// rows are sorted by column in place. `touches` accumulates the products
-/// processed (cost accounting).
+/// count keeps going past `cap`, only the stores stop. Non-direct rows
+/// accumulate in the worker's entry scratch and reach `dst` in column order
+/// only when they fit. `touches` accumulates the products processed (cost
+/// accounting).
 ///
 /// Floating-point semantics per method mirror the exact kernels: direct and
 /// hash rows *assign* a column's first product, dense rows accumulate into
@@ -102,22 +102,27 @@ index_t merge_row(const KernelContext& ctx, index_t r, RowMethod method,
     return len;
   }
 
+  // Column -> slot scatter map plus a one-bit-per-column "seen in this
+  // row" bitmap. The bitmap is all zero between rows (every row clears the
+  // bits it set), so neither array is reset per row, and at 16 KB per 128k
+  // columns it stays in L1 where a per-column epoch array would not.
   const auto b_cols_total = static_cast<std::size_t>(ctx.b->cols());
   std::vector<std::uint32_t>& colmap = ws.estimate_colmap();
-  std::vector<std::uint32_t>& epoch = ws.estimate_epoch();
-  if (epoch.size() < b_cols_total) {
-    epoch.resize(b_cols_total, 0);
-    colmap.resize(b_cols_total);
-  }
-  std::uint32_t& counter = ws.estimate_epoch_counter();
-  if (counter == std::numeric_limits<std::uint32_t>::max()) {
-    std::fill(epoch.begin(), epoch.end(), 0);
-    counter = 0;
-  }
-  const std::uint32_t cur = ++counter;
+  std::vector<std::uint64_t>& seen = ws.estimate_seen();
+  if (colmap.size() < b_cols_total) colmap.resize(b_cols_total);
+  if (seen.size() < b_cols_total / 64 + 1) seen.resize(b_cols_total / 64 + 1, 0);
+  std::uint64_t* const bits = seen.data();
 
+  // The row accumulates in the worker's entry scratch (warm after the
+  // first block) as (column, value) slots in first-touch order, and is
+  // written to `dst` once, in column order, after the merge.
   const bool dense = method == RowMethod::kDense;
   const auto cap_u = static_cast<std::uint32_t>(cap);
+  std::vector<DeviceHashMap::Entry>& entries = ws.entries();
+  if (entries.size() < static_cast<std::size_t>(cap)) {
+    entries.resize(static_cast<std::size_t>(cap));
+  }
+  DeviceHashMap::Entry* const slots = entries.data();
   std::uint32_t count = 0;
   for (std::size_t i = 0; i < a_cols.size(); ++i) {
     const value_t av = a_vals[i];
@@ -127,67 +132,58 @@ index_t merge_row(const KernelContext& ctx, index_t r, RowMethod method,
     for (std::size_t j = 0; j < b_cols.size(); ++j) {
       const auto col = static_cast<std::size_t>(b_cols[j]);
       const value_t p = av * b_vals[j];
-      if (epoch[col] != cur) {
-        epoch[col] = cur;
+      std::uint64_t& word = bits[col / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (col % 64);
+      if ((word & bit) == 0) {
+        word |= bit;
         colmap[col] = count;
-        if (count < cap_u) {
-          dst_cols[count] = b_cols[j];
-          dst_vals[count] = dense ? 0.0 + p : p;
-        }
+        if (count < cap_u) slots[count] = {col, dense ? 0.0 + p : p};
         ++count;
       } else {
         const std::uint32_t slot = colmap[col];
-        if (slot < cap_u) dst_vals[slot] += p;
+        if (slot < cap_u) slots[slot].value += p;
       }
     }
   }
 
+  // Extraction strategy is pure perf — both paths emit the identical
+  // ascending-column permutation of the fully accumulated slot values, and
+  // both leave the bitmap zero. A row whose exact column range spans at
+  // most four bitmap words per entry walks the set bits of those words;
+  // a sparser row sorts its slots with the radix row sort and clears its
+  // bits slot by slot. An underflowed row stores nothing and clears its
+  // whole range (its columns past `cap` have no slot).
   const auto actual = static_cast<index_t>(count);
-  if (actual <= cap && actual > 1) {
-    std::vector<DeviceHashMap::Entry>& entries = ws.entries();
-    entries.resize(static_cast<std::size_t>(actual));
-    // Extraction strategy is pure perf — both paths emit the identical
-    // ascending-column permutation of the fully accumulated slot values.
-    // Dense rows always scan their window (mirroring the exact dense
-    // kernel); hash rows scan too when the row's exact column range is
-    // narrow enough that a linear sweep beats sorting — the usual case on
-    // banded matrices, where first-touch order is nearly sorted already but
-    // std::sort still pays its full comparison bill.
-    const auto ri = static_cast<std::size_t>(r);
-    const auto lo = static_cast<std::size_t>(ctx.analysis->col_min[ri]);
-    const auto hi = static_cast<std::size_t>(ctx.analysis->col_max[ri]);
-    const std::size_t window = hi - lo + 1;
-    const std::size_t sort_cost =
-        static_cast<std::size_t>(actual) *
-        static_cast<std::size_t>(std::bit_width(static_cast<std::size_t>(actual)));
-    if (dense || window <= 4 * sort_cost) {
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        entries[i].value = dst_vals[i];
+  const auto ri = static_cast<std::size_t>(r);
+  const std::size_t lo_word =
+      static_cast<std::size_t>(ctx.analysis->col_min[ri]) / 64;
+  const std::size_t hi_word =
+      static_cast<std::size_t>(ctx.analysis->col_max[ri]) / 64;
+  if (actual > cap) {
+    std::fill(bits + lo_word, bits + hi_word + 1, 0);
+    return actual;
+  }
+  if (hi_word - lo_word < 4 * static_cast<std::size_t>(count)) {
+    std::uint32_t w = 0;
+    for (std::size_t word = lo_word; word <= hi_word; ++word) {
+      for (std::uint64_t m = bits[word]; m != 0; m &= m - 1) {
+        const std::size_t col =
+            word * 64 + static_cast<std::size_t>(std::countr_zero(m));
+        dst_cols[w] = static_cast<index_t>(col);
+        dst_vals[w] = slots[colmap[col]].value;
+        ++w;
       }
-      std::uint32_t w = 0;
-      for (std::size_t col = lo; col <= hi; ++col) {
-        if (epoch[col] == cur) {
-          dst_cols[w] = static_cast<index_t>(col);
-          dst_vals[w] = entries[colmap[col]].value;
-          ++w;
-        }
-      }
-      SPECK_ASSERT(w == count, "window extraction lost columns");
-    } else {
-      // First-touch order is not sorted; sort the (col, val) pairs through
-      // the worker's entry scratch (warm after the first block).
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        entries[i] = DeviceHashMap::Entry{
-            static_cast<key64_t>(static_cast<std::uint32_t>(dst_cols[i])),
-            dst_vals[i]};
-      }
-      std::sort(entries.begin(), entries.end(),
-                [](const auto& x, const auto& y) { return x.key < y.key; });
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        dst_cols[i] = static_cast<index_t>(entries[i].key);
-        dst_vals[i] = entries[i].value;
-      }
+      bits[word] = 0;
     }
+    SPECK_ASSERT(w == count, "window extraction lost columns");
+    return actual;
+  }
+  // The keys are bare columns, so key order is column order.
+  detail::sort_row_entries(std::span(slots, count), ws.sort_scratch());
+  for (std::uint32_t i = 0; i < count; ++i) {
+    bits[slots[i].key / 64] = 0;
+    dst_cols[i] = static_cast<index_t>(slots[i].key);
+    dst_vals[i] = slots[i].value;
   }
   return actual;
 }

@@ -15,24 +15,9 @@ void SymbolicHashAccumulator::begin_block(std::size_t capacity,
   global_inserts_ = 0;
 }
 
-void SymbolicHashAccumulator::insert(key64_t key) {
-  if (!in_global_) {
-    if (!local_.full() && !forced_overflow()) {
-      local_.insert_key(key);
-      // Preemptively move once completely full: binning sizes maps so this
-      // only happens for the unbounded largest-configuration rows.
-      if (local_.full()) spill();
-      return;
-    }
-    spill();
-  }
-  ++global_inserts_;
-  global_.insert(key);
-}
-
-void SymbolicHashAccumulator::row_counts_into(int rows, bool wide_keys,
-                                              std::vector<index_t>& counts) const {
-  counts.assign(static_cast<std::size_t>(rows), 0);
+std::vector<index_t> SymbolicHashAccumulator::row_counts(int rows,
+                                                         bool wide_keys) const {
+  std::vector<index_t> counts(static_cast<std::size_t>(rows), 0);
   const auto count_key = [&](key64_t key, value_t) {
     const int local_row = key_local_row(key, wide_keys);
     SPECK_ASSERT(local_row < rows, "compound key local row out of range");
@@ -40,12 +25,6 @@ void SymbolicHashAccumulator::row_counts_into(int rows, bool wide_keys,
   };
   local_.for_each(count_key);
   global_.for_each(count_key);
-}
-
-std::vector<index_t> SymbolicHashAccumulator::row_counts(int rows,
-                                                         bool wide_keys) const {
-  std::vector<index_t> counts;
-  row_counts_into(rows, wide_keys, counts);
   return counts;
 }
 
@@ -70,19 +49,6 @@ void NumericHashAccumulator::begin_block(std::size_t capacity,
   in_global_ = false;
   moved_entries_ = 0;
   global_inserts_ = 0;
-}
-
-void NumericHashAccumulator::accumulate(key64_t key, value_t value) {
-  if (!in_global_) {
-    if (!local_.full() && !forced_overflow()) {
-      local_.accumulate(key, value);
-      if (local_.full()) spill();
-      return;
-    }
-    spill();
-  }
-  ++global_inserts_;
-  global_.accumulate(key, value);
 }
 
 void NumericHashAccumulator::extract_into(
@@ -120,27 +86,6 @@ void MaskedNumericAccumulator::begin_block(std::size_t capacity,
   in_global_ = false;
   moved_entries_ = 0;
   global_inserts_ = 0;
-}
-
-void MaskedNumericAccumulator::seed(key64_t key) {
-  if (!in_global_) {
-    if (!local_.full() && !forced_overflow()) {
-      local_.seed_key(key);
-      if (local_.full()) spill();
-      return;
-    }
-    spill();
-  }
-  ++global_inserts_;
-  global_.seed(key);
-}
-
-void MaskedNumericAccumulator::accumulate(key64_t key, value_t value) {
-  if (!in_global_) {
-    local_.accumulate_if_present(key, value);
-    return;
-  }
-  global_.accumulate_if_present(key, value);
 }
 
 bool MaskedNumericAccumulator::lookup_touched(key64_t key, value_t* value) {

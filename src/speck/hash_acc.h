@@ -4,7 +4,13 @@
 // i.e. largest-configuration rows — all entries move to a global-memory
 // map (a flat open-addressing FlatSpillMap) and accumulation continues
 // there. Both flavours count the operations the cost model charges (probes,
-// moved entries, global inserts).
+// moved entries, global inserts). The symbolic insert also reports whether
+// its key was new to the block, which is how the symbolic pass counts each
+// row's NNZ without scanning the maps afterwards.
+//
+// The per-product entry points (insert / accumulate / seed) and the
+// scratchpad map's home-slot probe are inline; only the longer probe walks
+// and the spill stay out of line.
 //
 // Accumulators are designed for reuse: a per-worker KernelWorkspace holds
 // one of each and calls `begin_block()` before every block, which re-targets
@@ -37,15 +43,29 @@ class SymbolicHashAccumulator {
   void begin_block(std::size_t capacity, const FaultInjector* faults,
                    SimdBackend simd = SimdBackend::kScalar);
 
-  void insert(key64_t key);
+  /// Adds `key` to the block's set. Returns true when the key was new —
+  /// to the scratchpad map, or to the spill map once the block spilled (a
+  /// spill moves every local key over, so a key is new to one map exactly
+  /// when it is new to the block). Summing the returns per local row gives
+  /// that row's NNZ without scanning either map.
+  bool insert(key64_t key) {
+    if (!in_global_) {
+      if (!local_.full() && !forced_overflow()) {
+        const bool fresh = local_.insert_key(key);
+        // Preemptively move once completely full: binning sizes maps so
+        // this only happens for the unbounded largest-configuration rows.
+        if (local_.full()) spill();
+        return fresh;
+      }
+      spill();
+    }
+    ++global_inserts_;
+    return global_.insert(key);
+  }
 
   /// NNZ per local row (indexed by the compound key's local row field),
-  /// counted by iterating both maps in place. `counts` is assigned
-  /// `rows` zeros first; its capacity is reused across calls.
-  void row_counts_into(int rows, bool wide_keys,
-                       std::vector<index_t>& counts) const;
-
-  /// Convenience wrapper allocating the counts vector.
+  /// counted by iterating both maps. The symbolic pass sums insert()'s
+  /// returns instead; this scan is the reference the tests check it by.
   std::vector<index_t> row_counts(int rows, bool wide_keys) const;
 
   bool spilled() const { return in_global_; }
@@ -85,7 +105,18 @@ class NumericHashAccumulator {
   void begin_block(std::size_t capacity, const FaultInjector* faults,
                    SimdBackend simd = SimdBackend::kScalar);
 
-  void accumulate(key64_t key, value_t value);
+  void accumulate(key64_t key, value_t value) {
+    if (!in_global_) {
+      if (!local_.full() && !forced_overflow()) {
+        local_.accumulate(key, value);
+        if (local_.full()) spill();
+        return;
+      }
+      spill();
+    }
+    ++global_inserts_;
+    global_.accumulate(key, value);
+  }
 
   /// All (key, value) pairs, unsorted (local map in slot order, then the
   /// spill map in slot order), appended into the caller's buffer after a
@@ -141,11 +172,28 @@ class MaskedNumericAccumulator {
                    SimdBackend simd = SimdBackend::kScalar);
 
   /// Admits `key` (a mask column) as an accumulation target.
-  void seed(key64_t key);
+  void seed(key64_t key) {
+    if (!in_global_) {
+      if (!local_.full() && !forced_overflow()) {
+        local_.seed_key(key);
+        if (local_.full()) spill();
+        return;
+      }
+      spill();
+    }
+    ++global_inserts_;
+    global_.seed(key);
+  }
 
   /// Adds `value` into `key`'s slot iff the key was seeded; marks it
   /// touched. Non-mask keys are dropped (their probe is still counted).
-  void accumulate(key64_t key, value_t value);
+  void accumulate(key64_t key, value_t value) {
+    if (!in_global_) {
+      local_.accumulate_if_present(key, value);
+      return;
+    }
+    global_.accumulate_if_present(key, value);
+  }
 
   /// True (with the accumulated sum) iff `key` was seeded and touched.
   bool lookup_touched(key64_t key, value_t* value);

@@ -29,19 +29,6 @@ DeviceHashMap::Probe DeviceHashMap::probe_scalar(key64_t key, std::size_t start,
 // probe overflows with exactly `capacity_` probes, like the scalar scan.
 DeviceHashMap::Probe DeviceHashMap::probe_groups(key64_t key, std::size_t start,
                                                  std::uint8_t tag) {
-  // Most probes stop on their home slot; one byte compare settles those
-  // without paying for a whole-group scan, and counts the same single probe
-  // the scalar scan would.
-  materialize_group(start / simd::kGroupWidth);
-  const std::uint8_t c0 = ctrl_[start];
-  if (c0 == kCtrlEmpty) {
-    ++probes_;
-    return Probe{start, false};
-  }
-  if (c0 == tag && keys_[start] == key) {
-    ++probes_;
-    return Probe{start, true};
-  }
   std::size_t visited = 0;
   std::size_t slot = start;
   while (visited < capacity_) {
@@ -74,64 +61,6 @@ DeviceHashMap::Probe DeviceHashMap::probe_groups(key64_t key, std::size_t start,
   }
   probes_ += capacity_;
   return Probe{kNoSlot, false};
-}
-
-bool DeviceHashMap::insert_key(key64_t key) {
-  const std::uint64_t h = key * kHashPrime;
-  const Probe p = probe(key, hash_slot(h), hash_tag(h));
-  if (p.index == kNoSlot) {
-    overflowed_ = true;
-    return false;
-  }
-  if (p.found) return false;
-  ctrl_[p.index] = hash_tag(h);
-  keys_[p.index] = key;
-  vals_[p.index] = 0.0;
-  ++size_;
-  return true;
-}
-
-bool DeviceHashMap::accumulate(key64_t key, value_t value) {
-  const std::uint64_t h = key * kHashPrime;
-  const Probe p = probe(key, hash_slot(h), hash_tag(h));
-  if (p.index == kNoSlot) {
-    overflowed_ = true;
-    return false;
-  }
-  if (p.found) {
-    vals_[p.index] += value;
-    return true;
-  }
-  ctrl_[p.index] = hash_tag(h);
-  keys_[p.index] = key;
-  vals_[p.index] = value;
-  ++size_;
-  return true;
-}
-
-bool DeviceHashMap::seed_key(key64_t key) {
-  const std::uint64_t h = key * kHashPrime;
-  const Probe p = probe(key, hash_slot(h), hash_tag(h));
-  if (p.index == kNoSlot) {
-    overflowed_ = true;
-    return false;
-  }
-  if (p.found) return false;
-  ctrl_[p.index] = hash_tag(h);
-  keys_[p.index] = key;
-  vals_[p.index] = 0.0;
-  touched_[p.index] = 0;
-  ++size_;
-  return true;
-}
-
-bool DeviceHashMap::accumulate_if_present(key64_t key, value_t value) {
-  const std::uint64_t h = key * kHashPrime;
-  const Probe p = probe(key, hash_slot(h), hash_tag(h));
-  if (p.index == kNoSlot || !p.found) return false;
-  vals_[p.index] += value;
-  touched_[p.index] = 1;
-  return true;
 }
 
 bool DeviceHashMap::lookup_touched(key64_t key, value_t* value) {

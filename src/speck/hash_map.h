@@ -78,23 +78,73 @@ class DeviceHashMap {
   SimdBackend backend() const { return backend_; }
 
   /// Symbolic insert: adds the key if absent. Returns true when the key was
-  /// new. Returns false with `overflow()` set when the map is full and the
-  /// key absent.
-  bool insert_key(key64_t key);
+  /// new. Returns false with `overflowed()` set when the map is full and the
+  /// key absent. Symbolic maps carry keys only: the new slot's value is left
+  /// as it was, so a map mixing insert_key with accumulate must not read it.
+  bool insert_key(key64_t key) {
+    const std::uint64_t h = key * kHashPrime;
+    const Probe p = probe(key, hash_slot(h), hash_tag(h));
+    if (p.index == kNoSlot) {
+      overflowed_ = true;
+      return false;
+    }
+    if (p.found) return false;
+    ctrl_[p.index] = hash_tag(h);
+    keys_[p.index] = key;
+    ++size_;
+    return true;
+  }
 
   /// Numeric insert: accumulates `value` into the slot for `key`,
   /// creating it if needed. Returns false on overflow.
-  bool accumulate(key64_t key, value_t value);
+  bool accumulate(key64_t key, value_t value) {
+    const std::uint64_t h = key * kHashPrime;
+    const Probe p = probe(key, hash_slot(h), hash_tag(h));
+    if (p.index == kNoSlot) {
+      overflowed_ = true;
+      return false;
+    }
+    if (p.found) {
+      vals_[p.index] += value;
+      return true;
+    }
+    ctrl_[p.index] = hash_tag(h);
+    keys_[p.index] = key;
+    vals_[p.index] = value;
+    ++size_;
+    return true;
+  }
 
   /// Masked-insert mode: pre-seeds `key` as an admissible slot (value zero,
   /// untouched). Same probe, tag and overflow semantics as insert_key, so
   /// seeded maps behave exactly like symbolically-built ones.
-  bool seed_key(key64_t key);
+  bool seed_key(key64_t key) {
+    const std::uint64_t h = key * kHashPrime;
+    const Probe p = probe(key, hash_slot(h), hash_tag(h));
+    if (p.index == kNoSlot) {
+      overflowed_ = true;
+      return false;
+    }
+    if (p.found) return false;
+    ctrl_[p.index] = hash_tag(h);
+    keys_[p.index] = key;
+    vals_[p.index] = 0.0;
+    touched_[p.index] = 0;
+    ++size_;
+    return true;
+  }
 
   /// Masked accumulate: adds into `key`'s slot only when it was seeded,
   /// marking it touched. A miss (non-mask column) is a no-op — no slot is
   /// claimed — but its probe walk is still counted like any other.
-  bool accumulate_if_present(key64_t key, value_t value);
+  bool accumulate_if_present(key64_t key, value_t value) {
+    const std::uint64_t h = key * kHashPrime;
+    const Probe p = probe(key, hash_slot(h), hash_tag(h));
+    if (p.index == kNoSlot || !p.found) return false;
+    vals_[p.index] += value;
+    touched_[p.index] = 1;
+    return true;
+  }
 
   /// Reads a seeded slot back: true (with the accumulated sum in `*value`)
   /// iff the slot was touched since seeding. Untouched seeds and absent
@@ -194,7 +244,17 @@ class DeviceHashMap {
     group_epoch_[g] = epoch_;
   }
 
+  /// Inline fast path: most probes stop on their home slot, and one byte
+  /// compare settles those with the single probe any scan would count. The
+  /// rest of the walk stays out of line; it restarts at the home slot, so
+  /// its probe count is the one a full scan would report.
   Probe probe(key64_t key, std::size_t start, std::uint8_t tag) {
+    materialize_group(start / simd::kGroupWidth);
+    const std::uint8_t c0 = ctrl_[start];
+    if (c0 == kCtrlEmpty || (c0 == tag && keys_[start] == key)) {
+      ++probes_;
+      return Probe{start, c0 != kCtrlEmpty};
+    }
     return backend_ == SimdBackend::kScalar ? probe_scalar(key, start, tag)
                                             : probe_groups(key, start, tag);
   }

@@ -3,7 +3,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -65,9 +68,9 @@ inline BlockRowStats block_stats(const KernelContext& ctx, std::span<const index
 }
 
 /// Charges the cost of sweeping the referenced B rows with groups of g
-/// threads (shared by the symbolic and numeric hash paths). Scratch buffers
-/// come from the worker's workspace, so the sweep is allocation-free after
-/// warm-up.
+/// threads (shared by the symbolic, numeric, estimated and masked hash
+/// paths). Scratch comes from the worker's workspace, so the sweep is
+/// allocation-free after warm-up.
 ///
 /// Compute is charged per *reference* (idle lanes included), but memory is
 /// charged per *unique* referenced row of B: spECK's binning keeps
@@ -90,8 +93,16 @@ inline void charge_row_sweep(sim::BlockCost& cost, const KernelContext& ctx,
   group_iterations.assign(static_cast<std::size_t>(groups), 0);
   std::size_t next_group = 0;
 
-  std::vector<index_t>& referenced = ws.referenced_rows();
-  referenced.clear();
+  // Memory cost: every unique referenced row of B is fetched once per block
+  // (spECK's ordered binning keeps neighbouring rows of A together, so their
+  // overlapping B rows hit in L1/L2 after the first fetch, §4.2 "Binning").
+  // The first reference of a row in this sweep stamps it; later ones see
+  // the stamp and add nothing.
+  const std::uint32_t stamp =
+      ws.next_b_row_stamp(static_cast<std::size_t>(ctx.b->rows()));
+  std::uint32_t* marks = ws.b_row_marks();
+  std::size_t words = 0;
+  std::size_t segments = 0;
   for (const index_t r : rows) {
     const auto a_cols = ctx.a->row_cols(r);
     for (const index_t k : a_cols) {
@@ -100,7 +111,12 @@ inline void charge_row_sweep(sim::BlockCost& cost, const KernelContext& ctx,
       group_iterations[next_group] +=
           ceil_div<std::size_t>(len, static_cast<std::size_t>(group_size));
       next_group = next_group + 1 == static_cast<std::size_t>(groups) ? 0 : next_group + 1;
-      referenced.push_back(k);
+      std::uint32_t& mark = marks[static_cast<std::size_t>(k)];
+      if (mark != stamp) {
+        mark = stamp;
+        words += len;
+        ++segments;
+      }
     }
     cost.global_coalesced(a_cols.size());                  // A columns
     if (numeric) cost.global_coalesced64(a_cols.size());   // A values
@@ -109,19 +125,78 @@ inline void charge_row_sweep(sim::BlockCost& cost, const KernelContext& ctx,
       *std::max_element(group_iterations.begin(), group_iterations.end());
   cost.lockstep(static_cast<double>(critical_iterations), 10.0);
 
-  // Memory cost: every unique referenced row of B is fetched once per block
-  // (spECK's ordered binning keeps neighbouring rows of A together, so their
-  // overlapping B rows hit in L1/L2 after the first fetch, §4.2 "Binning").
-  std::sort(referenced.begin(), referenced.end());
-  referenced.erase(std::unique(referenced.begin(), referenced.end()),
-                   referenced.end());
-  std::size_t words = 0;
-  for (const index_t k : referenced) {
-    words += static_cast<std::size_t>(ctx.b->row_length(k));
-  }
   const double cache = sim::reuse_cache_factor(*ctx.device, ctx.b->byte_size());
-  cost.global_segmented(words * (ctx.wide_keys ? 2 : 1), referenced.size(), cache);
-  if (numeric) cost.global_segmented(words * 2, referenced.size(), cache);
+  cost.global_segmented(words * (ctx.wide_keys ? 2 : 1), segments, cache);
+  if (numeric) cost.global_segmented(words * 2, segments, cache);
+}
+
+/// Rows of at most this many entries are insertion-sorted by
+/// sort_row_entries; longer ones are radix-sorted.
+constexpr std::size_t kInsertionSortMax = 24;
+
+/// Sorts one row's entries ascending by key, allocation-free once `scratch`
+/// has grown to the row length (it only ever grows). The keys of one row
+/// share their local-row bits, so key order is column order. Short rows use
+/// insertion sort; longer rows an LSD radix sort on `key - min_key` with
+/// digits of at most 11 bits, the width chosen per row to minimise
+/// passes x (buckets + entries). Both sorts are stable, and the keys of a
+/// row are unique anyway, so the bytes equal those of any correct sort.
+inline void sort_row_entries(std::span<DeviceHashMap::Entry> row,
+                             std::vector<DeviceHashMap::Entry>& scratch) {
+  using Entry = DeviceHashMap::Entry;
+  const std::size_t n = row.size();
+  if (n <= kInsertionSortMax) {
+    for (std::size_t i = 1; i < n; ++i) {
+      const Entry e = row[i];
+      std::size_t j = i;
+      for (; j > 0 && row[j - 1].key > e.key; --j) row[j] = row[j - 1];
+      row[j] = e;
+    }
+    return;
+  }
+  key64_t lo = row[0].key;
+  key64_t hi = row[0].key;
+  for (const Entry& e : row) {
+    lo = std::min(lo, e.key);
+    hi = std::max(hi, e.key);
+  }
+  const int bits = std::bit_width(hi - lo);
+  if (bits == 0) return;  // all keys equal
+
+  constexpr int kMaxDigitBits = 11;
+  int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  int digit_bits = (bits + passes - 1) / passes;
+  const auto work = [n](int p, int d) {
+    return static_cast<std::size_t>(p) * ((std::size_t{1} << d) + 4 * n);
+  };
+  for (int p = passes + 1; p <= bits; ++p) {
+    const int d = (bits + p - 1) / p;
+    if (work(p, d) >= work(passes, digit_bits)) break;
+    passes = p;
+    digit_bits = d;
+  }
+
+  if (scratch.size() < n) scratch.resize(n);
+  std::uint32_t counts[std::size_t{1} << kMaxDigitBits];
+  Entry* src = row.data();
+  Entry* dst = scratch.data();
+  for (int shift = 0; shift < bits; shift += digit_bits) {
+    const std::size_t buckets = std::size_t{1} << std::min(digit_bits, bits - shift);
+    const key64_t mask = buckets - 1;
+    std::fill(counts, counts + buckets, 0u);
+    for (std::size_t i = 0; i < n; ++i) ++counts[((src[i].key - lo) >> shift) & mask];
+    std::uint32_t sum = 0;
+    for (std::size_t b = 0; b < buckets; ++b) {
+      const std::uint32_t c = counts[b];
+      counts[b] = sum;
+      sum += c;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[counts[((src[i].key - lo) >> shift) & mask]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != row.data()) std::copy(src, src + n, row.data());
 }
 
 /// Charges hash accumulator activity common to both passes.

@@ -176,78 +176,80 @@ sim::BlockCost run_numeric_block(const KernelContext& ctx,
       }
     }
   }
-  // Extraction: counting-sort the entries into per-local-row segments
-  // (replaces the former vector-of-vectors bucketing), then sort each
-  // segment by key. Keys are unique, so the result does not depend on the
-  // maps' iteration order.
+  // Extraction: bucket the entries into per-local-row segments, sort each
+  // segment by key (detail::sort_row_entries) and write it to its output
+  // slot. Keys are unique, so the result does not depend on the maps'
+  // iteration order.
   std::vector<DeviceHashMap::Entry>& entries = ws.entries();
   acc.extract_into(entries);
-  std::vector<std::size_t>& row_start = ws.row_starts();
-  row_start.assign(rows.size() + 1, 0);
-  // Striped histogram build: skewed rows put long runs of identical buckets
-  // in `entries`, and a single histogram then serializes on the same
-  // store-to-load address. Four sub-histograms take every fourth entry and
-  // are merged with a vectorized element-wise add — integer additions in a
-  // fixed order, so the counts (and everything downstream) are bit-identical
-  // to the single-histogram loop this replaces.
-  constexpr std::size_t kHistogramStripes = 4;
-  const std::size_t hist_width = rows.size() + 1;
-  const auto local_row_of = [&](std::size_t e) {
-    return static_cast<std::size_t>(key_local_row(entries[e].key, ctx.wide_keys));
-  };
-  std::vector<std::uint64_t>& stripes = ws.histogram_stripes();
-  stripes.assign((kHistogramStripes - 1) * hist_width, 0);
-  {
-    std::size_t e = 0;
-    for (; e + kHistogramStripes <= entries.size(); e += kHistogramStripes) {
-      ++row_start[local_row_of(e) + 1];
-      ++stripes[0 * hist_width + local_row_of(e + 1) + 1];
-      ++stripes[1 * hist_width + local_row_of(e + 2) + 1];
-      ++stripes[2 * hist_width + local_row_of(e + 3) + 1];
-    }
-    for (; e < entries.size(); ++e) ++row_start[local_row_of(e) + 1];
-  }
-  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
-  for (std::size_t s = 0; s + 1 < kHistogramStripes; ++s) {
-    simd::add_u64(reinterpret_cast<std::uint64_t*>(row_start.data()),
-                  stripes.data() + s * hist_width, hist_width, ctx.simd);
-  }
-  inclusive_prefix_sum(std::span<std::size_t>(row_start.data() + 1, rows.size()),
-                       ctx.simd);
-  std::vector<std::size_t>& row_cursor = ws.row_cursors();
-  row_cursor.assign(row_start.begin(), row_start.end());
-  std::vector<DeviceHashMap::Entry>& bucketed = ws.bucketed_entries();
-  bucketed.resize(entries.size());
-  constexpr std::size_t kScatterPrefetch = 8;
-  for (std::size_t e = 0; e < entries.size(); ++e) {
-    if (prefetch_gathers && e + kScatterPrefetch < entries.size()) {
-      // Data-dependent scatter destination; touch the line ahead of time.
-      const auto ahead = static_cast<std::size_t>(
-          key_local_row(entries[e + kScatterPrefetch].key, ctx.wide_keys));
-      simd::prefetch(bucketed.data() + row_cursor[ahead]);
-    }
-    const auto local = static_cast<std::size_t>(
-        key_local_row(entries[e].key, ctx.wide_keys));
-    bucketed[row_cursor[local]++] = entries[e];
-  }
-  for (std::size_t local = 0; local < rows.size(); ++local) {
+  const auto emit_row = [&](std::size_t local,
+                            std::span<DeviceHashMap::Entry> row) {
     const index_t r = rows[local];
-    const auto row_begin = bucketed.begin() +
-                           static_cast<std::ptrdiff_t>(row_start[local]);
-    const auto row_end = bucketed.begin() +
-                         static_cast<std::ptrdiff_t>(row_start[local + 1]);
-    std::sort(row_begin, row_end,
-              [](const auto& x, const auto& y) { return x.key < y.key; });
-    SPECK_ASSERT(static_cast<index_t>(row_end - row_begin) ==
+    detail::sort_row_entries(row, ws.sort_scratch());
+    SPECK_ASSERT(static_cast<index_t>(row.size()) ==
                      row_nnz[static_cast<std::size_t>(r)],
                  "hash numeric row count disagrees with symbolic pass");
     auto cursor = static_cast<std::size_t>(offsets[static_cast<std::size_t>(r)]);
-    for (auto it = row_begin; it != row_end; ++it) {
-      out_cols[cursor] = key_column(it->key, ctx.wide_keys);
-      out_vals[cursor] = it->value;
+    for (const DeviceHashMap::Entry& entry : row) {
+      out_cols[cursor] = key_column(entry.key, ctx.wide_keys);
+      out_vals[cursor] = entry.value;
       ++cursor;
     }
     ++stats.hash_rows;
+  };
+  if (rows.size() == 1) {
+    // Single-row block: the extracted entries already are the row.
+    emit_row(0, entries);
+  } else {
+    // Counting sort by local row.
+    std::vector<std::size_t>& row_start = ws.row_starts();
+    row_start.assign(rows.size() + 1, 0);
+    // Striped histogram build: skewed rows put long runs of identical
+    // buckets in `entries`, and a single histogram then serializes on the
+    // same store-to-load address. Four sub-histograms take every fourth
+    // entry and are merged with a vectorized element-wise add — integer
+    // additions in a fixed order, so the counts (and everything
+    // downstream) are bit-identical to the single-histogram loop.
+    constexpr std::size_t kHistogramStripes = 4;
+    const std::size_t hist_width = rows.size() + 1;
+    const auto local_row_of = [&](std::size_t e) {
+      return static_cast<std::size_t>(key_local_row(entries[e].key, ctx.wide_keys));
+    };
+    std::vector<std::uint64_t>& stripes = ws.histogram_stripes();
+    stripes.assign((kHistogramStripes - 1) * hist_width, 0);
+    {
+      std::size_t e = 0;
+      for (; e + kHistogramStripes <= entries.size(); e += kHistogramStripes) {
+        ++row_start[local_row_of(e) + 1];
+        ++stripes[0 * hist_width + local_row_of(e + 1) + 1];
+        ++stripes[1 * hist_width + local_row_of(e + 2) + 1];
+        ++stripes[2 * hist_width + local_row_of(e + 3) + 1];
+      }
+      for (; e < entries.size(); ++e) ++row_start[local_row_of(e) + 1];
+    }
+    static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
+    for (std::size_t s = 0; s + 1 < kHistogramStripes; ++s) {
+      simd::add_u64(reinterpret_cast<std::uint64_t*>(row_start.data()),
+                    stripes.data() + s * hist_width, hist_width, ctx.simd);
+    }
+    inclusive_prefix_sum(std::span<std::size_t>(row_start.data() + 1, rows.size()),
+                         ctx.simd);
+    std::vector<std::size_t>& row_cursor = ws.row_cursors();
+    row_cursor.assign(row_start.begin(), row_start.end());
+    std::vector<DeviceHashMap::Entry>& bucketed = ws.bucketed_entries();
+    bucketed.resize(entries.size());
+    constexpr std::size_t kScatterPrefetch = 8;
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+      if (prefetch_gathers && e + kScatterPrefetch < entries.size()) {
+        // Data-dependent scatter destination; touch the line ahead of time.
+        simd::prefetch(bucketed.data() + row_cursor[local_row_of(e + kScatterPrefetch)]);
+      }
+      bucketed[row_cursor[local_row_of(e)]++] = entries[e];
+    }
+    for (std::size_t local = 0; local < rows.size(); ++local) {
+      emit_row(local, std::span<DeviceHashMap::Entry>(bucketed).subspan(
+                          row_start[local], row_start[local + 1] - row_start[local]));
+    }
   }
   charge_row_sweep(cost, ctx, rows, lb.group_size, /*numeric=*/true, ws);
   charge_hash_activity(cost, acc, stats);

@@ -108,6 +108,9 @@ sim::BlockCost run_symbolic_block(const KernelContext& ctx,
   for (std::size_t local = 0; local < rows.size(); ++local) {
     const index_t r = rows[local];
     const auto a_cols = ctx.a->row_cols(r);
+    // A row's keys all carry its local row index, so the keys new to the
+    // block while inserting this row are exactly the row's NNZ.
+    index_t nnz = 0;
     for (std::size_t i = 0; i < a_cols.size(); ++i) {
       if (prefetch_gathers && i + 1 < a_cols.size()) {
         // Hide the latency of the next B-row gather behind this one's
@@ -117,19 +120,17 @@ sim::BlockCost run_symbolic_block(const KernelContext& ctx,
                        static_cast<std::size_t>(ctx.b->row_offsets()[next]));
       }
       for (const index_t col : ctx.b->row_cols(a_cols[i])) {
-        acc.insert(compound_key(static_cast<int>(local), col, ctx.wide_keys));
+        nnz += static_cast<index_t>(
+            acc.insert(compound_key(static_cast<int>(local), col, ctx.wide_keys)));
       }
     }
-  }
-  std::vector<index_t>& counts = ws.row_counts();
-  acc.row_counts_into(static_cast<int>(rows.size()), ctx.wide_keys, counts);
-  for (std::size_t local = 0; local < rows.size(); ++local) {
-    out_row_nnz[static_cast<std::size_t>(rows[local])] = counts[local];
+    out_row_nnz[static_cast<std::size_t>(r)] = nnz;
     ++stats.hash_rows;
   }
   charge_row_sweep(cost, ctx, rows, lb.group_size, /*numeric=*/false, ws);
   charge_hash_activity(cost, acc, stats);
-  // Extraction: scan the whole map to count per-row NNZ.
+  // Extraction on the device: scan the whole map to count per-row NNZ (the
+  // host already counted at insert time; this charges the GPU's scan).
   cost.issued(static_cast<double>(config.symbolic_hash_capacity()));
   cost.smem(static_cast<double>(config.symbolic_hash_capacity()));
   cost.global_coalesced(rows.size());

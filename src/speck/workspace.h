@@ -18,6 +18,7 @@
 // influences results (chunk boundaries are a pure function of the range).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -59,11 +60,12 @@ class KernelWorkspace {
     return masked_;
   }
 
-  /// Per-local-row NNZ counts (symbolic extraction).
-  std::vector<index_t>& row_counts() { return row_counts_; }
-
   /// Raw (key, value) entries extracted from a numeric accumulator.
   std::vector<DeviceHashMap::Entry>& entries() { return entries_; }
+
+  /// Ping-pong buffer of the row sort (detail::sort_row_entries); only ever
+  /// grows, so a warm workspace sorts without allocating.
+  std::vector<DeviceHashMap::Entry>& sort_scratch() { return sort_scratch_; }
 
   /// Counting-sort scratch: per-row segment starts and the row-bucketed
   /// entry buffer (replaces the per-block vector-of-vectors bucketing).
@@ -76,10 +78,24 @@ class KernelWorkspace {
   /// simd::add_u64 after the build.
   std::vector<std::uint64_t>& histogram_stripes() { return histogram_stripes_; }
 
-  /// charge_row_sweep scratch: per-group lockstep iteration counts and the
-  /// unique-referenced-B-row buffer.
+  /// charge_row_sweep scratch: per-group lockstep iteration counts.
   std::vector<std::size_t>& group_iterations() { return group_iterations_; }
-  std::vector<index_t>& referenced_rows() { return referenced_; }
+
+  /// charge_row_sweep's unique-B-row marker: row k of B was already counted
+  /// by the current sweep iff b_row_marks()[k] equals the stamp the sweep
+  /// got from next_b_row_stamp(). A new stamp invalidates every mark at
+  /// once, so the array (sized to B's row count, grown only when a larger
+  /// B arrives) is never cleared between sweeps.
+  std::uint32_t next_b_row_stamp(std::size_t b_rows) {
+    if (b_row_marks_.size() < b_rows) b_row_marks_.resize(b_rows, 0);
+    if (++b_row_stamp_ == 0) {
+      // Wrapped after 2^32 sweeps: clear the stale marks once.
+      std::fill(b_row_marks_.begin(), b_row_marks_.end(), 0u);
+      b_row_stamp_ = 1;
+    }
+    return b_row_stamp_;
+  }
+  std::uint32_t* b_row_marks() { return b_row_marks_.data(); }
 
   /// Dense-accumulator window/cursor/output buffers.
   DenseScratch& dense() { return dense_; }
@@ -97,36 +113,32 @@ class KernelWorkspace {
   /// like every other member, so steady-state replays stay allocation-free.
   std::vector<value_t>& replay_values() { return replay_values_; }
 
-  /// Estimated numeric merge pass: column -> local slot scatter map plus the
-  /// epoch tag array that makes it O(1)-resettable per row (a slot is live
-  /// only when its epoch matches the current row's counter). Sized to B's
-  /// column count by the caller; never cleared between rows.
+  /// Estimated numeric merge pass: column -> local slot scatter map plus a
+  /// one-bit-per-column "seen in this row" bitmap. Both are sized to B's
+  /// column count by the caller and never cleared between rows: the bitmap
+  /// is all zero between rows because each row clears the bits it set.
   std::vector<std::uint32_t>& estimate_colmap() { return estimate_colmap_; }
-  std::vector<std::uint32_t>& estimate_epoch() { return estimate_epoch_; }
-
-  /// Current row counter for estimate_epoch(); the caller increments it per
-  /// row and handles the (practically unreachable) uint32 wrap by refilling.
-  std::uint32_t& estimate_epoch_counter() { return estimate_epoch_counter_; }
+  std::vector<std::uint64_t>& estimate_seen() { return estimate_seen_; }
 
  private:
   SymbolicHashAccumulator symbolic_;
   NumericHashAccumulator numeric_;
   MaskedNumericAccumulator masked_;
-  std::vector<index_t> row_counts_;
   std::vector<DeviceHashMap::Entry> entries_;
+  std::vector<DeviceHashMap::Entry> sort_scratch_;
   std::vector<std::size_t> row_starts_;
   std::vector<std::size_t> row_cursors_;
   std::vector<DeviceHashMap::Entry> bucketed_;
   std::vector<std::uint64_t> histogram_stripes_;
   std::vector<std::size_t> group_iterations_;
-  std::vector<index_t> referenced_;
+  std::vector<std::uint32_t> b_row_marks_;
+  std::uint32_t b_row_stamp_ = 0;
   DenseScratch dense_;
   std::vector<std::uint8_t> replay_seen_;
   std::vector<std::uint32_t> replay_colmap_;
   std::vector<value_t> replay_values_;
   std::vector<std::uint32_t> estimate_colmap_;
-  std::vector<std::uint32_t> estimate_epoch_;
-  std::uint32_t estimate_epoch_counter_ = 0;
+  std::vector<std::uint64_t> estimate_seen_;
 };
 
 /// Lazily grown set of workspaces indexed by thread-pool worker id.

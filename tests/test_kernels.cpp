@@ -2,7 +2,13 @@
 // correctness, global-hash fallback and the radix-sort stage accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+
 #include "common/prng.h"
+#include "gen/corpus.h"
 #include "gen/generators.h"
 #include "matrix/coo.h"
 #include "matrix/ops.h"
@@ -216,6 +222,120 @@ TEST(Kernels, EmptyPlanProducesEmptyResult) {
   const BinPlan nplan = f.plan(ctx, false, entries);
   const NumericOutcome numeric = run_numeric(ctx, nplan, symbolic.row_nnz);
   EXPECT_EQ(numeric.c.nnz(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden counters of the exact pipeline on the Table-4 stand-ins. The other
+// determinism tests compare runs against each other (threads, backends);
+// this one pins the absolute values, so a host-side rewrite of the hash
+// kernels that changes a probe, a block or a simulated second fails here
+// even when it does so at every thread count alike.
+
+/// FNV-1a over the bytes of C (offsets, columns, values).
+std::uint64_t csr_fnv1a(const Csr& c) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(c.row_offsets().data(), c.row_offsets().size_bytes());
+  mix(c.col_indices().data(), c.col_indices().size_bytes());
+  mix(c.values().data(), c.values().size_bytes());
+  return h;
+}
+
+struct PassGolden {
+  offset_t direct_rows, dense_rows, hash_rows;
+  int global_hash_blocks;
+  std::size_t global_pool_bytes, hash_probes, moved_entries, global_inserts;
+};
+
+struct CorpusGolden {
+  const char* name;
+  PassGolden symbolic, numeric;
+  offset_t radix_sorted_elements;
+  int symbolic_blocks, numeric_blocks;
+  double seconds;
+  std::uint64_t c_hash;
+};
+
+std::string describe_pass(const PassStats& s) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "{%lld, %lld, %lld, %d, %zu, %zu, %zu, %zu}",
+                static_cast<long long>(s.direct_rows),
+                static_cast<long long>(s.dense_rows),
+                static_cast<long long>(s.hash_rows), s.global_hash_blocks,
+                s.global_pool_bytes, s.hash_probes, s.moved_entries,
+                s.global_inserts);
+  return buf;
+}
+
+void expect_pass(const PassStats& got, const PassGolden& want) {
+  EXPECT_EQ(got.direct_rows, want.direct_rows);
+  EXPECT_EQ(got.dense_rows, want.dense_rows);
+  EXPECT_EQ(got.hash_rows, want.hash_rows);
+  EXPECT_EQ(got.global_hash_blocks, want.global_hash_blocks);
+  EXPECT_EQ(got.global_pool_bytes, want.global_pool_bytes);
+  EXPECT_EQ(got.hash_probes, want.hash_probes);
+  EXPECT_EQ(got.moved_entries, want.moved_entries);
+  EXPECT_EQ(got.global_inserts, want.global_inserts);
+  EXPECT_EQ(got.estimate_underflow_rows, 0);
+}
+
+// clang-format off
+const CorpusGolden kCorpusGolden[] = {
+    {"webbase", {44, 0, 19956, 0, 0, 609716, 0, 0}, {884, 0, 19116, 0, 0, 343693, 0, 0}, 36729, 734, 1628, 0x1.af7978a0331f2p-13, 0x615471cfddd91813ull},
+    {"hugebubbles", {0, 0, 52000, 0, 0, 2830875, 0, 0}, {0, 0, 52000, 0, 0, 3966465, 0, 0}, 0, 3467, 8667, 0x1.88186d6b56d92p-13, 0x10c66237228abdf4ull},
+    {"mario002", {0, 0, 40000, 0, 0, 1533374, 0, 0}, {0, 0, 40000, 0, 0, 1369972, 0, 0}, 0, 2667, 10000, 0x1.4a204f74e540cp-13, 0xd231e0458d6e4f28ull},
+    {"stat96v2", {0, 0, 4000, 0, 0, 946103, 0, 0}, {0, 0, 4000, 0, 0, 992012, 0, 0}, 0, 4000, 4000, 0x1.6f42174b8142bp-13, 0x67b7d29b392c9921ull},
+    {"email-Enron", {6, 0, 5994, 0, 0, 1075359, 0, 0}, {185, 88, 5727, 0, 393216, 325180, 0, 0}, 45827, 578, 1226, 0x1.f30e77e7ee108p-13, 0xcf802b84e0db9c94ull},
+    {"cage13", {0, 0, 24000, 0, 0, 2444069, 0, 0}, {0, 0, 24000, 0, 0, 2205775, 0, 0}, 0, 6000, 24000, 0x1.0298905426f06p-12, 0xaa05581c2f948929ull},
+    {"144", {0, 0, 16000, 0, 0, 3966615, 0, 0}, {0, 16, 15984, 0, 0, 4348018, 0, 0}, 0, 16000, 16000, 0x1.7946f42f1959ap-12, 0xb91816c72c07e82aull},
+    {"poisson3Da", {0, 0, 2197, 0, 0, 1225043, 0, 0}, {0, 162, 2035, 0, 0, 1159433, 0, 0}, 0, 2197, 2197, 0x1.1e636b988db95p-14, 0x5304b8f74884a698ull},
+    {"QCD", {0, 0, 3000, 0, 0, 4343693, 0, 0}, {0, 3000, 0, 0, 0, 0, 0, 0}, 0, 3000, 3000, 0x1.7613b679878ecp-13, 0xe0767dc2e3040061ull},
+    {"harbor", {0, 0, 4000, 0, 0, 8177113, 0, 0}, {0, 4000, 0, 0, 0, 0, 0, 0}, 0, 4000, 4000, 0x1.669ba186a2f1ep-12, 0x990105e52fd933c5ull},
+    {"TSC_OPF", {0, 0, 800, 0, 0, 7220000, 0, 0}, {0, 800, 0, 0, 0, 0, 0, 0}, 0, 800, 800, 0x1.5b7057395b23cp-13, 0xbe3a75e83cfd2c9aull},
+};
+// clang-format on
+
+TEST(KernelHotPath, CommonCorpusCountersGolden) {
+  const std::vector<gen::CorpusEntry> corpus = gen::common_corpus();
+  ASSERT_EQ(corpus.size(), std::size(kCorpusGolden));
+  for (const int threads : {1, 4}) {
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      const gen::CorpusEntry& entry = corpus[i];
+      const CorpusGolden& want = kCorpusGolden[i];
+      SCOPED_TRACE(entry.name + " at " + std::to_string(threads) + " threads");
+      SpeckConfig config;
+      config.thresholds = reduced_scale_thresholds();
+      config.planning = PlanningMode::kExact;
+      config.plan_cache = false;
+      config.host_threads = threads;
+      Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{}, config);
+      const SpGemmResult result = speck.multiply(entry.a, entry.b);
+      ASSERT_TRUE(result.ok()) << result.failure_reason;
+      const SpeckDiagnostics& d = speck.last_diagnostics();
+      char tail[160];
+      std::snprintf(tail, sizeof(tail), "%lld, %d, %d, %a, 0x%016llxull",
+                    static_cast<long long>(d.radix_sorted_elements),
+                    d.symbolic_blocks, d.numeric_blocks, result.seconds,
+                    static_cast<unsigned long long>(csr_fnv1a(result.c)));
+      SCOPED_TRACE("actual: {\"" + entry.name + "\", " +
+                   describe_pass(d.symbolic) + ", " + describe_pass(d.numeric) +
+                   ", " + tail + "},");
+      EXPECT_STREQ(want.name, entry.name.c_str());
+      expect_pass(d.symbolic, want.symbolic);
+      expect_pass(d.numeric, want.numeric);
+      EXPECT_EQ(d.radix_sorted_elements, want.radix_sorted_elements);
+      EXPECT_EQ(d.symbolic_blocks, want.symbolic_blocks);
+      EXPECT_EQ(d.numeric_blocks, want.numeric_blocks);
+      EXPECT_EQ(result.seconds, want.seconds);
+      EXPECT_EQ(csr_fnv1a(result.c), want.c_hash);
+    }
+  }
 }
 
 }  // namespace

@@ -12,11 +12,13 @@
 
 #include "common/alloc_counter.h"
 #include "common/fault_injection.h"
+#include "common/prng.h"
 #include "gen/corpus.h"
 #include "gen/generators.h"
 #include "speck/flat_map.h"
 #include "speck/hash_acc.h"
 #include "speck/hash_map.h"
+#include "speck/kernels_detail.h"
 #include "speck/speck.h"
 #include "speck/workspace.h"
 
@@ -153,10 +155,15 @@ TEST(AccumulatorReuse, SymbolicReusedMatchesFresh) {
   // Second block without faults must match a freshly constructed one.
   reused.begin_block(32, nullptr);
   SymbolicHashAccumulator fresh(32, nullptr);
+  std::vector<index_t> reused_new(3, 0);
   for (key64_t k = 0; k < 20; ++k) {
-    reused.insert(compound_key(static_cast<int>(k % 3), static_cast<index_t>(k), false));
-    fresh.insert(compound_key(static_cast<int>(k % 3), static_cast<index_t>(k), false));
+    const key64_t key =
+        compound_key(static_cast<int>(k % 3), static_cast<index_t>(k), false);
+    const bool is_new = reused.insert(key);
+    EXPECT_EQ(is_new, fresh.insert(key)) << k;
+    if (is_new) ++reused_new[k % 3];
   }
+  EXPECT_EQ(reused_new, reused.row_counts(3, false));
   EXPECT_EQ(reused.spilled(), fresh.spilled());
   EXPECT_EQ(reused.probes(), fresh.probes());
   EXPECT_EQ(reused.moved_entries(), fresh.moved_entries());
@@ -210,6 +217,90 @@ TEST(AccumulatorReuse, WarmAccumulatorBlockIsAllocationFree) {
   acc.extract_into(entries);
   EXPECT_EQ(detail::alloc_events_now(), before);
   EXPECT_EQ(entries.size(), 128u);
+}
+
+// ---------------------------------------------------------------------------
+// Row sort of the numeric extraction (detail::sort_row_entries)
+
+/// `n` entries of one local row with unique columns in
+/// [base, base + range] (fewer when the range holds fewer than `n`
+/// columns), in random order, each carrying a distinct value.
+std::vector<DeviceHashMap::Entry> random_row(std::size_t n, std::uint64_t range,
+                                             std::uint64_t base, bool wide,
+                                             Xoshiro256& rng) {
+  std::set<std::uint64_t> cols;
+  const std::uint64_t available = range + 1;
+  if (available <= 2 * n) {
+    // Dense draw: shuffle the whole range and keep a prefix.
+    std::vector<std::uint64_t> all(available);
+    for (std::uint64_t c = 0; c < available; ++c) all[c] = base + c;
+    for (std::size_t i = all.size(); i > 1; --i) {
+      std::swap(all[i - 1], all[rng.next_below(i)]);
+    }
+    all.resize(std::min<std::size_t>(n, all.size()));
+    cols.insert(all.begin(), all.end());
+  } else {
+    while (cols.size() < n) cols.insert(base + rng.next_below(available));
+  }
+  std::vector<DeviceHashMap::Entry> row;
+  for (const std::uint64_t c : cols) {
+    const auto col = static_cast<index_t>(static_cast<std::uint32_t>(c));
+    row.push_back({compound_key(wide ? 7 : 19, col, wide),
+                   static_cast<value_t>(row.size()) + 0.25});
+  }
+  for (std::size_t i = row.size(); i > 1; --i) {
+    std::swap(row[i - 1], row[rng.next_below(i)]);
+  }
+  return row;
+}
+
+TEST(RowSort, MatchesStdSortOnUniqueKeys) {
+  struct Range {
+    std::uint64_t span;
+    bool wide;
+  };
+  KernelWorkspace ws;
+  Xoshiro256 rng(2027);
+  for (const std::size_t n : {0, 1, 2, 24, 25, 257, 8192}) {
+    for (const Range range : {Range{1, false}, Range{1u << 11, false},
+                              Range{(1u << 27) - 1, false},
+                              Range{0xFFFFFFFFull, true}}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " range " +
+                   std::to_string(range.span));
+      // Keep the columns inside the key's column field: narrow ranges
+      // start at a random offset, the full-width ones at 0.
+      const std::uint64_t limit = range.wide ? 0xFFFFFFFFull : (1u << 27) - 1;
+      const std::uint64_t base = rng.next_below(limit - range.span + 1);
+      std::vector<DeviceHashMap::Entry> row =
+          random_row(n, range.span, base, range.wide, rng);
+      std::vector<DeviceHashMap::Entry> expected = row;
+      std::sort(expected.begin(), expected.end(),
+                [](const auto& x, const auto& y) { return x.key < y.key; });
+      detail::sort_row_entries(row, ws.sort_scratch());
+      ASSERT_EQ(row.size(), expected.size());
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        ASSERT_EQ(row[i].key, expected[i].key) << i;
+        ASSERT_EQ(row[i].value, expected[i].value) << i;
+      }
+    }
+  }
+}
+
+TEST(RowSort, WarmWorkspaceSortsWithoutAllocating) {
+  KernelWorkspace ws;
+  Xoshiro256 rng(2029);
+  const auto longest = random_row(8192, 1u << 20, 0, false, rng);
+  const auto shorter = random_row(300, (1u << 27) - 1, 0, false, rng);
+  std::vector<DeviceHashMap::Entry> row = longest;
+  detail::sort_row_entries(row, ws.sort_scratch());  // warm-up grows scratch
+  const std::size_t before = detail::alloc_events_now();
+  std::copy(longest.begin(), longest.end(), row.begin());
+  detail::sort_row_entries(row, ws.sort_scratch());
+  detail::sort_row_entries(std::span(row.data(), shorter.size()),
+                           ws.sort_scratch());
+  EXPECT_EQ(detail::alloc_events_now(), before);
+  EXPECT_TRUE(std::is_sorted(row.begin(), row.end(),
+                             [](const auto& x, const auto& y) { return x.key < y.key; }));
 }
 
 // ---------------------------------------------------------------------------
