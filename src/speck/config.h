@@ -143,13 +143,9 @@ struct SpeckConfig {
   /// SpeckPlan and every later one runs the values-only replay
   /// (docs/performance.md "Structure reuse"). Results stay bit-identical;
   /// only the skipped stages disappear from the timeline. Plans for
-  /// different patterns coexist in a sharded LRU cache (docs/service.md).
+  /// different patterns coexist in an LRU cache (docs/service.md).
   /// Off: every multiply runs the full pipeline.
   bool plan_cache = true;
-  /// Shards of the transparent plan cache. More shards cut mutex contention
-  /// when many threads serve disjoint patterns through one Speck/service;
-  /// 1 gives a single global LRU order. Must be >= 1.
-  int plan_cache_shards = 4;
   /// SIMD backend for the kernel hot loops (docs/performance.md "SIMD
   /// backends"). kAuto resolves via the SPECK_SIMD environment variable,
   /// then CPU detection; a concrete value is used verbatim (construction
@@ -159,11 +155,10 @@ struct SpeckConfig {
   SimdBackend simd_backend = SimdBackend::kAuto;
   /// Host-memory ceiling for the transparent plan cache, accounted across
   /// all cached plans (SpeckPlan::byte_size, which includes the replay
-  /// program, the C pattern arrays and the diagnostics tail). A structure
-  /// whose estimated plan exceeds the whole budget is never planned for
-  /// caching; inserts beyond the budget evict LRU plans (explicit
-  /// Speck::plan() calls ignore the limit — that memory is the caller's
-  /// deliberate choice).
+  /// program and the C pattern arrays). A structure whose estimated plan
+  /// exceeds the whole budget is never planned for caching; inserts beyond
+  /// the budget evict LRU plans (explicit Speck::plan() calls ignore the
+  /// limit — that memory is the caller's deliberate choice).
   std::size_t plan_cache_limit_bytes = 512u << 20;
   /// Planning mode (docs/performance.md "Estimated planning"). kAuto
   /// resolves via SPECK_PLANNING, then exact. Estimated planning skips the

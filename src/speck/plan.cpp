@@ -128,23 +128,16 @@ PlanFingerprint plan_fingerprint(const Csr& a, const Csr& b,
   return fp;
 }
 
-PlanFingerprint plan_fingerprint_masked(const Csr& a, const Csr& b,
-                                        const Csr& mask, const SpeckConfig& cfg,
-                                        bool with_pattern_hashes) {
-  PlanFingerprint fp = plan_fingerprint(a, b, cfg, with_pattern_hashes);
-  fp.masked = true;
-  fp.mask_rows = mask.rows();
-  fp.mask_cols = mask.cols();
-  fp.mask_nnz = mask.nnz();
-  if (with_pattern_hashes) fp.mask_pattern_hash = csr_pattern_hash(mask);
-  return fp;
-}
-
 PlanFingerprint plan_fingerprint(const Csr& a, const Csr& b, const Csr* mask,
                                  const SpeckConfig& cfg, bool with_pattern_hashes) {
-  return mask != nullptr
-             ? plan_fingerprint_masked(a, b, *mask, cfg, with_pattern_hashes)
-             : plan_fingerprint(a, b, cfg, with_pattern_hashes);
+  PlanFingerprint fp = plan_fingerprint(a, b, cfg, with_pattern_hashes);
+  if (mask == nullptr) return fp;
+  fp.masked = true;
+  fp.mask_rows = mask->rows();
+  fp.mask_cols = mask->cols();
+  fp.mask_nnz = mask->nnz();
+  if (with_pattern_hashes) fp.mask_pattern_hash = csr_pattern_hash(*mask);
+  return fp;
 }
 
 namespace {
@@ -159,11 +152,11 @@ std::size_t string_heap_bytes(const std::string& s) {
 
 std::size_t SpeckPlan::byte_size() const {
   // Allocated (capacity-based) footprint of everything a cached plan pins:
-  // planning state, the C pattern arrays, the replay program, the captured
-  // diagnostics tail and the replay trace including each launch's name
-  // string. The size-based accounting this replaces undercounted all of the
-  // heap slack plus every string, which let the plan-cache byte budget admit
-  // more than it was configured for.
+  // planning state, the C pattern arrays, the replay program and the replay
+  // trace including each launch's name string. The size-based accounting
+  // this replaces undercounted all of the heap slack plus every string,
+  // which let the plan-cache byte budget admit more than it was configured
+  // for.
   std::size_t trace_bytes = replay_trace.capacity() * sizeof(sim::LaunchResult);
   for (const sim::LaunchResult& launch : replay_trace) {
     trace_bytes += string_heap_bytes(launch.name);
@@ -172,8 +165,7 @@ std::size_t SpeckPlan::byte_size() const {
          numeric_plan.byte_size() + row_nnz.capacity() * sizeof(index_t) +
          c_row_offsets.capacity() * sizeof(offset_t) +
          c_col_indices.capacity() * sizeof(index_t) + program.byte_size() +
-         trace_bytes + string_heap_bytes(incomplete_reason) +
-         string_heap_bytes(diagnostics.plan_fallback_reason);
+         trace_bytes + string_heap_bytes(incomplete_reason);
 }
 
 std::size_t estimate_plan_bytes(const Csr& a, const Csr& b) {

@@ -9,8 +9,8 @@
 // replay that skips analysis, global load balancing, the symbolic pass and
 // sorting entirely (the cost model then charges only the numeric kernels,
 // mirroring the amortizable share of Fig. 11's stage split). The plan
-// carries a structural fingerprint so a stale plan is detected and falls
-// back to the full pipeline instead of producing wrong values.
+// carries a structural fingerprint so a stale plan is detected and
+// rejected — the caller re-plans — instead of producing wrong values.
 #pragma once
 
 #include <cstdint>
@@ -80,15 +80,10 @@ PlanFingerprint plan_fingerprint(const Csr& a, const Csr& b,
                                  const SpeckConfig& cfg,
                                  bool with_pattern_hashes = true);
 
-/// Fingerprint of a *masked* product (a, b, mask) under `cfg`: the unmasked
-/// fingerprint plus the mask's dimensions, nnz and pattern hash.
-PlanFingerprint plan_fingerprint_masked(const Csr& a, const Csr& b,
-                                        const Csr& mask, const SpeckConfig& cfg,
-                                        bool with_pattern_hashes = true);
-
-/// Fingerprint of the product masked by `*mask`, or of the unmasked one when
-/// `mask` is null. Pass `cfg.mask.get()` for the product a Speck configured
-/// with `cfg` computes in multiply() and plan().
+/// Fingerprint of the product masked by `*mask` — the unmasked fingerprint
+/// plus the mask's dimensions, nnz and pattern hash — or of the unmasked
+/// one when `mask` is null. Pass `cfg.mask.get()` for the product a Speck
+/// configured with `cfg` computes in multiply() and plan().
 PlanFingerprint plan_fingerprint(const Csr& a, const Csr& b, const Csr* mask,
                                  const SpeckConfig& cfg,
                                  bool with_pattern_hashes = true);
@@ -111,13 +106,9 @@ struct SpeckDiagnostics {
   /// True when the multiply ran the values-only replay of a SpeckPlan
   /// instead of the full pipeline.
   bool plan_used = false;
-  /// True when the replay was triggered by Speck's transparent single-slot
-  /// plan cache (as opposed to an explicit multiply_with_plan call).
+  /// True when the replay was triggered by Speck's transparent plan cache
+  /// (as opposed to an explicit multiply_with_plan call).
   bool plan_cache_hit = false;
-  /// True when multiply_with_plan rejected its plan (stale fingerprint,
-  /// incomplete plan) and fell back to the full pipeline.
-  bool plan_fallback = false;
-  std::string plan_fallback_reason;
   /// True when planning ran in estimated mode (resolved
   /// SpeckConfig::planning): the symbolic pass was skipped and binning /
   /// allocation ran off sampled NNZ estimates. The exact pattern of C is
@@ -139,7 +130,7 @@ struct SpeckPlan {
   PlanFingerprint fingerprint;
 
   /// False when the structure could not be captured (32-bit index overflow,
-  /// failed pipeline run); multiply_with_plan then falls back.
+  /// failed pipeline run); every replay then rejects the plan.
   bool complete = false;
   std::string incomplete_reason;
 
@@ -180,8 +171,8 @@ struct SpeckPlan {
   }
 
   /// Allocated host-memory footprint of the full cached plan — planning
-  /// state, C pattern arrays, replay program, captured diagnostics tail and
-  /// replay trace (capacity-based; drives the plan cache's byte budget).
+  /// state, C pattern arrays, replay program and replay trace
+  /// (capacity-based; drives the plan cache's byte budget).
   std::size_t byte_size() const;
 };
 

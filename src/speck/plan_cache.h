@@ -87,7 +87,6 @@ class PlanCache {
   PlanCacheStats stats() const;
   std::size_t bytes() const { return total_bytes_.load(std::memory_order_relaxed); }
   std::size_t entries() const;
-  int shards() const { return static_cast<int>(shards_.size()); }
   std::size_t limit_bytes() const { return limit_bytes_; }
 
  private:

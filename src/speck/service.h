@@ -37,8 +37,8 @@
 //    eviction storms, driven by `speckd --chaos`.
 //
 // While a service wraps a Speck instance, all concurrent access must go
-// through the service — the legacy single-caller Speck entry points mutate
-// member state (docs/service.md).
+// through the service — the single-caller Speck entry points mutate member
+// state (docs/service.md).
 #pragma once
 
 #include <atomic>

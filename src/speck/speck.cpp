@@ -1,13 +1,9 @@
 #include "speck/speck.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <optional>
 
-#include "common/bit_utils.h"
-#include "common/prefix_sum.h"
-#include "matrix/matrix_stats.h"
 #include "sim/memory_tracker.h"
 #include "speck/estimator.h"
 #include "speck/masked_pass.h"
@@ -58,7 +54,6 @@ void validate_mask_input(const Csr& a, const Csr& b, const Csr& mask,
 }
 
 /// Why `plan` must not be replayed against (a, b) under `cfg`, or empty.
-/// Shared by the fallback (legacy) and reject (concurrent) replay entries.
 std::string plan_reject_reason(const SpeckPlan& plan, const Csr& a,
                                const Csr& b, const SpeckConfig& cfg) {
   if (!plan.complete) {
@@ -81,9 +76,8 @@ std::string plan_reject_reason(const SpeckPlan& plan, const Csr& a,
   return {};
 }
 
-/// The const replay entries' answer to a rejected plan: no fallback (that
-/// would need the instance's mutable state), the caller decides whether to
-/// re-plan.
+/// The replay entries' answer to a rejected plan: no fallback, the caller
+/// decides whether to re-plan.
 SpGemmResult rejected_plan(const std::string& reason, SpeckDiagnostics* diag) {
   if (diag != nullptr) *diag = SpeckDiagnostics{};
   SpGemmResult result;
@@ -190,11 +184,10 @@ bool Speck::plan_worth_caching(const Csr& a, const Csr& b) const {
 }
 
 PlanCache& Speck::plan_cache() {
-  const int shards = std::max(config_.plan_cache_shards, 1);
-  if (!transparent_cache_ || transparent_cache_->shards() != shards ||
+  if (!transparent_cache_ ||
       transparent_cache_->limit_bytes() != config_.plan_cache_limit_bytes) {
     transparent_cache_ =
-        std::make_unique<PlanCache>(shards, config_.plan_cache_limit_bytes);
+        std::make_unique<PlanCache>(1, config_.plan_cache_limit_bytes);
   }
   return *transparent_cache_;
 }
@@ -242,17 +235,7 @@ SpGemmResult Speck::cached_multiply(const Csr& a, const Csr& b,
 
 SpeckPlan Speck::plan(const Csr& a, const Csr& b, SpGemmResult* full_result,
                       const CancelToken* cancel) {
-  return build_plan(a, b, config_.mask.get(), full_result, cancel);
-}
-
-SpeckPlan Speck::plan_masked(const Csr& a, const Csr& b, const Csr& mask,
-                             SpGemmResult* full_result,
-                             const CancelToken* cancel) {
-  return build_plan(a, b, &mask, full_result, cancel);
-}
-
-SpeckPlan Speck::build_plan(const Csr& a, const Csr& b, const Csr* mask,
-                            SpGemmResult* full_result, const CancelToken* cancel) {
+  const Csr* mask = config_.mask.get();
   SpeckPlan plan;
   plan.fingerprint = plan_fingerprint(a, b, mask, config_);
   // When the caller does not want the full multiply result, the capture
@@ -264,20 +247,6 @@ SpeckPlan Speck::build_plan(const Csr& a, const Csr& b, const Csr* mask,
   }
   if (full_result != nullptr) *full_result = std::move(result);
   return plan;
-}
-
-SpGemmResult Speck::multiply_with_plan(const SpeckPlan& plan, const Csr& a,
-                                       const Csr& b) {
-  std::string reject = plan_reject_reason(plan, a, b, config_);
-  if (reject.empty()) {
-    return replay_plan_into(plan, a, b, host_pool(), &diagnostics_, &trace_,
-                            nullptr);
-  }
-  // Fall back the way multiply() dispatches: a configured mask still applies.
-  SpGemmResult result = run_pipeline(a, b, config_.mask.get(), nullptr);
-  diagnostics_.plan_fallback = true;
-  diagnostics_.plan_fallback_reason = std::move(reject);
-  return result;
 }
 
 SpGemmResult Speck::multiply_with_plan(const SpeckPlan& plan, const Csr& a,
@@ -319,8 +288,6 @@ SpGemmResult Speck::replay_plan_into(const SpeckPlan& plan, const Csr& a,
     *diag = plan.diagnostics;
     diag->plan_used = true;
     diag->plan_cache_hit = false;
-    diag->plan_fallback = false;
-    diag->plan_fallback_reason.clear();
   }
   if (trace != nullptr) trace->clear();
 
@@ -634,58 +601,6 @@ Speck::TryMultiplyOutcome Speck::try_multiply(const Csr& a,
     out.status = status_from_current_exception();
   }
   return out;
-}
-
-SymbolicEstimate symbolic_estimate(Speck& speck, const Csr& a, const Csr& b) {
-  SPECK_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
-
-  KernelContext ctx;
-  ctx.a = &a;
-  ctx.b = &b;
-  ctx.cfg = &speck.config();
-  ctx.configs = &speck.configs();
-  ctx.device = &speck.device();
-  ctx.model = &speck.cost_model();
-  ctx.wide_keys = b.cols() > kMaxColumns32Bit;
-  ctx.pool = speck.host_pool();
-  ctx.workspaces = &speck.workspaces();
-  ctx.simd = simd::resolve_backend(speck.config().simd_backend);
-
-  SymbolicEstimate estimate;
-
-  // Analysis.
-  sim::Launch analysis_launch("row_analysis", speck.device(), speck.cost_model());
-  const RowAnalysis analysis = analyze_rows(a, b, analysis_launch, ctx.pool);
-  ctx.analysis = &analysis;
-  estimate.products = analysis.total_products;
-  estimate.seconds += analysis_launch.finish().seconds;
-
-  // Symbolic load balancing + symbolic pass.
-  sim::Launch symbolic_lb("symbolic_lb", speck.device(), speck.cost_model());
-  const BinPlan symbolic_plan =
-      plan_global_lb({std::span<const offset_t>(analysis.products), true},
-                     speck.configs(), speck.config(), symbolic_lb);
-  if (symbolic_plan.used_load_balancer) {
-    estimate.seconds += symbolic_lb.finish().seconds;
-  }
-  SymbolicOutcome symbolic = run_symbolic(ctx, symbolic_plan);
-  estimate.seconds += symbolic.stats.seconds;
-
-  // Numeric load balancing (exact sizes known) — part of what the numeric
-  // pass would consume.
-  const std::vector<offset_t> numeric_entries = numeric_lb_entries(
-      symbolic.row_nnz, speck.config().max_numeric_fill, /*faults=*/nullptr);
-  sim::Launch numeric_lb("numeric_lb", speck.device(), speck.cost_model());
-  const BinPlan numeric_plan =
-      plan_global_lb({std::span<const offset_t>(numeric_entries), false},
-                     speck.configs(), speck.config(), numeric_lb);
-  if (numeric_plan.used_load_balancer) {
-    estimate.seconds += numeric_lb.finish().seconds;
-  }
-
-  for (const index_t nnz : symbolic.row_nnz) estimate.c_nnz += nnz;
-  estimate.row_nnz = std::move(symbolic.row_nnz);
-  return estimate;
 }
 
 }  // namespace speck

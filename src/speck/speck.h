@@ -63,53 +63,36 @@ class Speck final : public SpGemmAlgorithm {
   /// Runs the full pipeline once and freezes everything structure-derived
   /// into a SpeckPlan (docs/performance.md "Structure reuse"). Like
   /// multiply(), a configured SpeckConfig::mask applies: the plan is then
-  /// masked by it, exactly as plan_masked() with that mask. The full run's
-  /// result — including the computed C with the inputs' current values — is
-  /// stored into `*full_result` when non-null. On failure the returned plan
-  /// has `complete == false` and multiply_with_plan falls back to the full
-  /// pipeline. A non-null `cancel` token is polled between pipeline phases;
-  /// an expired/cancelled token throws DeadlineExceeded from the
-  /// coordinating thread (cooperative cancellation — running kernels are
-  /// never interrupted).
+  /// masked by it (the fingerprint includes the mask pattern), and replays
+  /// accept it only while SpeckConfig::mask holds the same mask. The full
+  /// run's result — including the computed C with the inputs' current
+  /// values — is stored into `*full_result` when non-null. On failure the
+  /// returned plan has `complete == false` and every replay rejects it. A
+  /// non-null `cancel` token is polled between pipeline phases; an
+  /// expired/cancelled token throws DeadlineExceeded from the coordinating
+  /// thread (cooperative cancellation — running kernels are never
+  /// interrupted).
   SpeckPlan plan(const Csr& a, const Csr& b, SpGemmResult* full_result = nullptr,
                  const CancelToken* cancel = nullptr);
-
-  /// plan() for the product masked by `mask`, whatever SpeckConfig::mask
-  /// holds: freezes the masked pipeline's structure state (fingerprint
-  /// includes the mask pattern) so masked products replay values-only like
-  /// any fixed-pattern multiply. Replay the result with multiply_with_plan /
-  /// replay_values_into while SpeckConfig::mask holds the same mask — a
-  /// masked plan is rejected when the configured mask is absent or
-  /// different.
-  SpeckPlan plan_masked(const Csr& a, const Csr& b, const Csr& mask,
-                        SpGemmResult* full_result = nullptr,
-                        const CancelToken* cancel = nullptr);
 
   /// Values-only multiply against a frozen plan: skips row analysis, global
   /// load balancing, the symbolic pass and sorting, and writes values
   /// straight into the plan's cached C pattern (simulated seconds cover
   /// only the numeric + sorting stages). The plan's fingerprint is verified
   /// first — the O(nnz) pattern-hash check under `validate_inputs`, the
-  /// O(1) dims/nnz/config check otherwise; a mismatched or incomplete plan
-  /// falls back to the full pipeline — masked when SpeckConfig::mask is
-  /// set, like multiply() — and sets `last_diagnostics().plan_fallback`.
-  /// Single-caller API (mutates last_diagnostics()/last_trace()); concurrent
-  /// clients use the const overload below.
+  /// O(1) dims/nnz/config/mask check otherwise. A stale or incomplete plan
+  /// returns SpGemmStatus::kUnsupported with the reason; the caller
+  /// re-plans (or calls multiply()). Const and thread-safe for concurrent
+  /// clients sharing this instance: touches no member state (diagnostics go
+  /// to `diag` when non-null, no launch trace is recorded) and runs the
+  /// replay serially on the calling thread — with N clients each replaying
+  /// their own request, intra-request parallelism would only contend.
+  /// Results are bit-identical to multiply().
   SpGemmResult multiply_with_plan(const SpeckPlan& plan, const Csr& a,
-                                  const Csr& b);
+                                  const Csr& b,
+                                  SpeckDiagnostics* diag = nullptr) const;
 
-  /// Thread-safe replay for concurrent clients sharing this instance: const,
-  /// touches no member state (diagnostics go to `diag` when non-null, no
-  /// launch trace is recorded) and runs the replay serially on the calling
-  /// thread — with N clients each replaying their own request, intra-request
-  /// parallelism would only contend. Unlike the legacy overload there is no
-  /// full-pipeline fallback (that would need mutable state): a stale or
-  /// incomplete plan returns SpGemmStatus::kUnsupported with the reason, and
-  /// the caller re-plans. Results are bit-identical to multiply().
-  SpGemmResult multiply_with_plan(const SpeckPlan& plan, const Csr& a,
-                                  const Csr& b, SpeckDiagnostics* diag) const;
-
-  /// Like the const multiply_with_plan, but writes the result values into
+  /// Like multiply_with_plan, but writes the result values into
   /// caller-owned storage (`out.size()` must equal the plan's c_nnz) and
   /// leaves `result.c` empty — the C pattern lives in the plan, shared by
   /// every replay of it. With a reused buffer the steady state performs zero
@@ -138,9 +121,10 @@ class Speck final : public SpGemmAlgorithm {
   /// multiplies reuse warm buffers (the zero-allocation hot path).
   WorkspacePool& workspaces() { return workspaces_; }
 
-  /// The transparent sharded LRU plan cache behind multiply() — exposed for
-  /// stats and tests. Lazily (re)built when config().plan_cache_shards or
-  /// plan_cache_limit_bytes change.
+  /// The transparent LRU plan cache behind multiply() — exposed for stats
+  /// and tests. One shard: multiply() is single-caller, so its mutex is
+  /// never contended. Lazily (re)built when config().plan_cache_limit_bytes
+  /// changes.
   PlanCache& plan_cache();
 
  private:
@@ -148,10 +132,6 @@ class Speck final : public SpGemmAlgorithm {
   /// of run_pipeline, for the product masked by `*mask` (unmasked when
   /// null).
   SpGemmResult cached_multiply(const Csr& a, const Csr& b, const Csr* mask);
-
-  /// plan() and plan_masked(): one capturing run_pipeline call.
-  SpeckPlan build_plan(const Csr& a, const Csr& b, const Csr* mask,
-                       SpGemmResult* full_result, const CancelToken* cancel);
 
   /// The one pipeline driver behind every mode (paper Fig. 2). Each mode
   /// runs a subset of the six stages; only the demand stage that sizes the
@@ -195,25 +175,12 @@ class Speck final : public SpGemmAlgorithm {
   WorkspacePool workspaces_;
 
   /// Transparent plan cache (config().plan_cache): a structure is planned
-  /// once it shows up twice in a row; the plan then lives in a sharded LRU
-  /// cache keyed by full fingerprint, so multiple patterns stay warm at
-  /// once under the byte budget.
+  /// once it shows up twice in a row; the plan then lives in an LRU cache
+  /// keyed by full fingerprint, so multiple patterns stay warm at once
+  /// under the byte budget.
   PlanFingerprint last_structure_;
   bool has_last_structure_ = false;
   std::unique_ptr<PlanCache> transparent_cache_;
 };
-
-/// Symbolic-only estimate: the exact NNZ of C = A*B plus the simulated cost
-/// of obtaining it (analysis + symbolic pass). Lets applications size output
-/// buffers or decide between algorithms before committing to the numeric
-/// work (the same information spECK's numeric load balancer consumes).
-struct SymbolicEstimate {
-  std::vector<index_t> row_nnz;
-  offset_t c_nnz = 0;
-  offset_t products = 0;
-  double seconds = 0.0;
-};
-
-SymbolicEstimate symbolic_estimate(Speck& speck, const Csr& a, const Csr& b);
 
 }  // namespace speck

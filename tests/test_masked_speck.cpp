@@ -134,17 +134,18 @@ TEST(MaskedSpeck, PlanReplayBitIdentical) {
   Speck speck = make_speck();
   const Csr a = gen::random_uniform(250, 250, 6, 3023);
   const Csr mask = gen::random_uniform(250, 250, 9, 3025);
-  const SpeckPlan plan = speck.plan_masked(a, a, mask);
+  // Plans and replays take the mask from the config (it joins the
+  // fingerprint check).
+  speck.config().mask = std::make_shared<const Csr>(mask);
+  const SpeckPlan plan = speck.plan(a, a);
   ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
   EXPECT_TRUE(plan.fingerprint.masked);
   EXPECT_NE(plan.fingerprint.mask_pattern_hash, 0u);
 
-  // Replays need the mask configured (it joins the fingerprint check).
-  speck.config().mask = std::make_shared<const Csr>(mask);
-  const SpGemmResult replay = speck.multiply_with_plan(plan, a, a);
+  SpeckDiagnostics replay_diag;
+  const SpGemmResult replay = speck.multiply_with_plan(plan, a, a, &replay_diag);
   ASSERT_TRUE(replay.ok()) << replay.failure_reason;
-  EXPECT_TRUE(speck.last_diagnostics().plan_used);
-  EXPECT_FALSE(speck.last_diagnostics().plan_fallback);
+  EXPECT_TRUE(replay_diag.plan_used);
   const auto diff = compare(replay.c, masked_spgemm(a, a, mask), 0.0);
   EXPECT_FALSE(diff.has_value()) << diff->description;
 
@@ -166,29 +167,34 @@ TEST(MaskedSpeck, PlanRejectedWithoutConfiguredMask) {
   Speck speck = make_speck();
   const Csr a = gen::random_uniform(100, 100, 5, 3027);
   const Csr mask = gen::random_uniform(100, 100, 6, 3029);
-  const SpeckPlan plan = speck.plan_masked(a, a, mask);
+  speck.config().mask = std::make_shared<const Csr>(mask);
+  const SpeckPlan plan = speck.plan(a, a);
   ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
-  // No config mask: the masked plan must not silently replay; the legacy
-  // entry falls back to the (unmasked) full pipeline and says why.
+  // No config mask: the masked plan must not silently replay; the replay
+  // is rejected and says why.
+  speck.config().mask = nullptr;
   const SpGemmResult result = speck.multiply_with_plan(plan, a, a);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(speck.last_diagnostics().plan_fallback);
-  EXPECT_FALSE(speck.last_diagnostics().plan_fallback_reason.empty());
+  EXPECT_EQ(result.status, SpGemmStatus::kUnsupported);
+  EXPECT_NE(result.failure_reason.find("no mask is configured"),
+            std::string::npos)
+      << result.failure_reason;
 }
 
 TEST(MaskedSpeck, PlanFallbackHonorsConfiguredMask) {
-  // A plan rejected because the configured mask differs from the planned
-  // one must fall back the way multiply() dispatches: masked by the
-  // configured mask, never the unmasked product.
+  // A plan built under one mask is rejected under another; the caller's
+  // multiply() then dispatches on the configured mask, never computing the
+  // unmasked product.
   Speck speck = make_speck();
   const Csr a = gen::random_uniform(100, 100, 5, 3027);
-  const SpeckPlan plan = speck.plan_masked(a, a, a);
+  speck.config().mask = std::make_shared<const Csr>(a);
+  const SpeckPlan plan = speck.plan(a, a);
   ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
   const Csr other = gen::random_uniform(100, 100, 2, 3029);
   speck.config().mask = std::make_shared<const Csr>(other);
-  const SpGemmResult result = speck.multiply_with_plan(plan, a, a);
+  const SpGemmResult rejected = speck.multiply_with_plan(plan, a, a);
+  EXPECT_EQ(rejected.status, SpGemmStatus::kUnsupported);
+  const SpGemmResult result = speck.multiply(a, a);
   ASSERT_TRUE(result.ok()) << result.failure_reason;
-  EXPECT_TRUE(speck.last_diagnostics().plan_fallback);
   EXPECT_TRUE(speck.last_diagnostics().masked);
   const auto diff = compare(result.c, masked_spgemm(a, a, other), 0.0);
   EXPECT_FALSE(diff.has_value()) << diff->description;
@@ -215,17 +221,12 @@ TEST(MaskedSpeck, PlanHonorsConfiguredMask) {
   const auto full_diff = compare(full.c, expected, 0.0);
   EXPECT_FALSE(full_diff.has_value()) << full_diff->description;
 
-  const SpGemmResult replay = speck.multiply_with_plan(plan, a, a);
+  SpeckDiagnostics diag;
+  const SpGemmResult replay = speck.multiply_with_plan(plan, a, a, &diag);
   ASSERT_TRUE(replay.ok()) << replay.failure_reason;
-  EXPECT_FALSE(speck.last_diagnostics().plan_fallback)
-      << speck.last_diagnostics().plan_fallback_reason;
+  EXPECT_TRUE(diag.masked);
   const auto diff = compare(replay.c, expected, 0.0);
   EXPECT_FALSE(diff.has_value()) << diff->description;
-
-  SpeckDiagnostics diag;
-  const SpGemmResult concurrent = speck.multiply_with_plan(plan, a, a, &diag);
-  ASSERT_TRUE(concurrent.ok()) << concurrent.failure_reason;
-  EXPECT_TRUE(diag.masked);
 }
 
 TEST(MaskedSpeck, TransparentCacheHitsOnRepeat) {

@@ -1,20 +1,22 @@
 // Tests for the structure-reuse fast path: Speck::plan /
-// Speck::multiply_with_plan, the transparent single-slot plan cache, and
-// the symbolic-only symbolic_estimate.
+// Speck::multiply_with_plan and the transparent plan cache behind
+// Speck::multiply.
 //
 // The replay must be *bit-identical* to the full pipeline — same CSR bytes,
 // same PassStats counters — at any thread count, including under forced
 // spill fault injection. Stale plans (pattern or config changes) must be
-// detected and fall back to the full pipeline, never produce wrong values.
+// detected and rejected, never produce wrong values; the caller re-plans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "common/prng.h"
 #include "gen/generators.h"
 #include "matrix/ops.h"
 #include "ref/gustavson.h"
+#include "ref/masked.h"
 #include "speck/speck.h"
 
 // The build links bench/counting_alloc.cpp into this test, which makes
@@ -76,28 +78,66 @@ void check_replay_matches_full(SpeckConfig cfg, const Csr& a, const Csr& b) {
 
   const SpeckPlan plan = planner.plan(a, b);
   ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
-  const SpGemmResult replay = planner.multiply_with_plan(plan, a, b);
+  SpeckDiagnostics diag;
+  const SpGemmResult replay = planner.multiply_with_plan(plan, a, b, &diag);
   ASSERT_TRUE(replay.ok()) << replay.failure_reason;
-
-  EXPECT_TRUE(planner.last_diagnostics().plan_used);
-  EXPECT_FALSE(planner.last_diagnostics().plan_fallback)
-      << planner.last_diagnostics().plan_fallback_reason;
+  EXPECT_TRUE(diag.plan_used);
 
   const auto diff = compare(replay.c, full.c, 0.0);  // bitwise
   EXPECT_FALSE(diff.has_value()) << diff->description;
-  expect_diagnostics_equal(planner.last_diagnostics(), full_diag);
+  expect_diagnostics_equal(diag, full_diag);
   EXPECT_LT(replay.seconds, full.seconds)
       << "replay must skip analysis/symbolic/load-balancing time";
+}
+
+/// Same shape and the same bytes in all three CSR arrays.
+void expect_csr_bytes_equal(const Csr& got, const Csr& want) {
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_TRUE(std::ranges::equal(std::as_bytes(got.row_offsets()),
+                                 std::as_bytes(want.row_offsets())));
+  EXPECT_TRUE(std::ranges::equal(std::as_bytes(got.col_indices()),
+                                 std::as_bytes(want.col_indices())));
+  EXPECT_TRUE(std::ranges::equal(std::as_bytes(got.values()),
+                                 std::as_bytes(want.values())));
 }
 
 TEST(PlanReuse, ReplayBitIdenticalAcrossThreadCounts) {
   const Csr a = gen::power_law(600, 600, 8, 1.9, 150, 2101);
   const Csr b = gen::power_law(600, 600, 7, 1.8, 150, 2103);
-  for (const int threads : {1, 8}) {
-    SCOPED_TRACE(threads);
-    SpeckConfig cfg;
-    cfg.host_threads = threads;
-    check_replay_matches_full(cfg, a, b);
+  const Csr mask = gen::random_uniform(600, 600, 20, 2104);
+  enum class Mode { kExact, kEstimated, kMasked };
+  for (const Mode mode : {Mode::kExact, Mode::kEstimated, Mode::kMasked}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    for (const int threads : {1, 3, 8}) {
+      SCOPED_TRACE(threads);
+      SpeckConfig cfg;
+      cfg.host_threads = threads;
+      cfg.planning = mode == Mode::kEstimated ? PlanningMode::kEstimated
+                                              : PlanningMode::kExact;
+      if (mode == Mode::kMasked) cfg.mask = std::make_shared<const Csr>(mask);
+      // The explicit plan API replays serially on the calling thread.
+      check_replay_matches_full(cfg, a, b);
+
+      // The transparent cache replays on the instance's pool: the parallel
+      // replay kernel whenever it has more than one thread.
+      SpeckConfig off = cfg;
+      off.plan_cache = false;
+      Speck reference(sim::DeviceSpec::titan_v(), sim::CostModel{}, off);
+      const SpGemmResult full = reference.multiply(a, b);
+      ASSERT_TRUE(full.ok()) << full.failure_reason;
+      Speck cached(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+      SpGemmResult hit;
+      for (int call = 0; call < 3; ++call) hit = cached.multiply(a, b);
+      ASSERT_TRUE(hit.ok()) << hit.failure_reason;
+      ASSERT_TRUE(cached.last_diagnostics().plan_cache_hit);
+      expect_csr_bytes_equal(hit.c, full.c);
+      EXPECT_EQ(hit.timeline.seconds(sim::Stage::kNumeric),
+                full.timeline.seconds(sim::Stage::kNumeric));
+      EXPECT_EQ(hit.timeline.seconds(sim::Stage::kSorting),
+                full.timeline.seconds(sim::Stage::kSorting));
+      expect_diagnostics_equal(cached.last_diagnostics(),
+                               reference.last_diagnostics());
+    }
   }
 }
 
@@ -123,7 +163,6 @@ TEST(PlanReuse, ReplayValuesOnlyAcrossValueChanges) {
     const Csr b = reweighted(base, seed + 7);
     const SpGemmResult replay = sp.multiply_with_plan(plan, a, b);
     ASSERT_TRUE(replay.ok()) << replay.failure_reason;
-    EXPECT_FALSE(sp.last_diagnostics().plan_fallback);
     const auto diff = compare(replay.c, gustavson_spgemm(a, b), 0.0);
     EXPECT_FALSE(diff.has_value())
         << "seed " << seed << ": " << diff->description;
@@ -137,11 +176,29 @@ TEST(PlanReuse, ReplayHotPathIsAllocationFree) {
   const Csr a = gen::power_law(500, 500, 8, 1.9, 120, 2115);
   const SpeckPlan plan = sp.plan(a, a);
   ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
-  const SpGemmResult replay = sp.multiply_with_plan(plan, a, a);
+  SpeckDiagnostics diag;
+  const SpGemmResult replay = sp.multiply_with_plan(plan, a, a, &diag);
   ASSERT_TRUE(replay.ok()) << replay.failure_reason;
-  EXPECT_TRUE(sp.last_diagnostics().plan_used);
-  EXPECT_EQ(sp.last_diagnostics().numeric.hot_path_allocs, 0u)
+  EXPECT_TRUE(diag.plan_used);
+  EXPECT_EQ(diag.numeric.hot_path_allocs, 0u)
       << "the values-only replay must not allocate";
+}
+
+/// A stale or incomplete plan comes back as kUnsupported with the reason.
+void expect_rejected(const SpGemmResult& result) {
+  EXPECT_EQ(result.status, SpGemmStatus::kUnsupported);
+  EXPECT_NE(result.failure_reason.find("plan rejected: "), std::string::npos)
+      << result.failure_reason;
+  EXPECT_EQ(result.c.nnz(), 0) << "a rejected replay runs nothing";
+}
+
+/// The caller's answer to a rejected plan: multiply() (which re-plans
+/// through the transparent cache) gives the oracle C.
+void expect_replans_to_oracle(Speck& sp, const Csr& a, const Csr& b) {
+  const SpGemmResult result = sp.multiply(a, b);
+  ASSERT_TRUE(result.ok()) << result.failure_reason;
+  const auto diff = compare(result.c, gustavson_spgemm(a, b), 0.0);
+  EXPECT_FALSE(diff.has_value()) << diff->description;
 }
 
 TEST(PlanReuse, StalePatternMutationFallsBack) {
@@ -168,13 +225,10 @@ TEST(PlanReuse, StalePatternMutationFallsBack) {
   }
   ASSERT_TRUE(changed);
 
-  const SpGemmResult result = sp.multiply_with_plan(plan, mutated, mutated);
-  ASSERT_TRUE(result.ok()) << result.failure_reason;
-  EXPECT_TRUE(sp.last_diagnostics().plan_fallback);
-  EXPECT_FALSE(sp.last_diagnostics().plan_used);
-  EXPECT_FALSE(sp.last_diagnostics().plan_fallback_reason.empty());
-  const auto diff = compare(result.c, gustavson_spgemm(mutated, mutated), 0.0);
-  EXPECT_FALSE(diff.has_value()) << diff->description;
+  SpeckDiagnostics diag;
+  expect_rejected(sp.multiply_with_plan(plan, mutated, mutated, &diag));
+  EXPECT_FALSE(diag.plan_used);
+  expect_replans_to_oracle(sp, mutated, mutated);
 }
 
 TEST(PlanReuse, StaleConfigChangeFallsBack) {
@@ -186,11 +240,8 @@ TEST(PlanReuse, StaleConfigChangeFallsBack) {
   // A planning-relevant config change invalidates the fingerprint's config
   // hash — caught by the O(1) quick check even without validate_inputs.
   sp.config().dense_density_threshold *= 0.5;
-  const SpGemmResult result = sp.multiply_with_plan(plan, a, a);
-  ASSERT_TRUE(result.ok()) << result.failure_reason;
-  EXPECT_TRUE(sp.last_diagnostics().plan_fallback);
-  const auto diff = compare(result.c, gustavson_spgemm(a, a), 0.0);
-  EXPECT_FALSE(diff.has_value()) << diff->description;
+  expect_rejected(sp.multiply_with_plan(plan, a, a));
+  expect_replans_to_oracle(sp, a, a);
 }
 
 TEST(PlanReuse, DimensionMismatchFallsBack) {
@@ -199,23 +250,16 @@ TEST(PlanReuse, DimensionMismatchFallsBack) {
   const SpeckPlan plan = sp.plan(a, a);
   ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
   const Csr smaller = gen::random_uniform(100, 100, 5, 2123);
-  const SpGemmResult result = sp.multiply_with_plan(plan, smaller, smaller);
-  ASSERT_TRUE(result.ok()) << result.failure_reason;
-  EXPECT_TRUE(sp.last_diagnostics().plan_fallback);
-  const auto diff =
-      compare(result.c, gustavson_spgemm(smaller, smaller), 0.0);
-  EXPECT_FALSE(diff.has_value()) << diff->description;
+  expect_rejected(sp.multiply_with_plan(plan, smaller, smaller));
+  expect_replans_to_oracle(sp, smaller, smaller);
 }
 
 TEST(PlanReuse, IncompletePlanFallsBack) {
   Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{});
   const Csr a = gen::random_uniform(100, 100, 4, 2125);
   const SpeckPlan empty;  // complete == false
-  const SpGemmResult result = sp.multiply_with_plan(empty, a, a);
-  ASSERT_TRUE(result.ok()) << result.failure_reason;
-  EXPECT_TRUE(sp.last_diagnostics().plan_fallback);
-  const auto diff = compare(result.c, gustavson_spgemm(a, a), 0.0);
-  EXPECT_FALSE(diff.has_value()) << diff->description;
+  expect_rejected(sp.multiply_with_plan(empty, a, a));
+  expect_replans_to_oracle(sp, a, a);
 }
 
 TEST(PlanReuse, TransparentCacheHitsOnThirdIdenticalMultiply) {
@@ -275,9 +319,8 @@ TEST(PlanReuse, EmptyAndTinyMatrices) {
   const SpeckPlan zero_plan = sp.plan(z, z);
   ASSERT_TRUE(zero_plan.complete) << zero_plan.incomplete_reason;
   const SpGemmResult zero = sp.multiply_with_plan(zero_plan, z, z);
-  ASSERT_TRUE(zero.ok());
+  ASSERT_TRUE(zero.ok()) << zero.failure_reason;
   EXPECT_EQ(zero.c.nnz(), 0);
-  EXPECT_FALSE(sp.last_diagnostics().plan_fallback);
 
   const Csr one = gen::random_uniform(1, 1, 1, 2135);
   const SpeckPlan one_plan = sp.plan(one, one);
@@ -316,15 +359,12 @@ TEST(PlanReuse, PlanPlusReplaySplitsTheFullRun) {
     SpeckConfig cfg;
     cfg.planning = mode == Mode::kEstimated ? PlanningMode::kEstimated
                                             : PlanningMode::kExact;
-    Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
-    const SpeckPlan plan =
-        mode == Mode::kMasked ? sp.plan_masked(a, a, mask) : sp.plan(a, a);
-    ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
     if (mode == Mode::kMasked) cfg.mask = std::make_shared<const Csr>(mask);
-    sp.config() = cfg;
+    Speck sp(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
+    const SpeckPlan plan = sp.plan(a, a);
+    ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
     const SpGemmResult replay = sp.multiply_with_plan(plan, a, a);
-    ASSERT_TRUE(replay.ok());
-    ASSERT_FALSE(sp.last_diagnostics().plan_fallback);
+    ASSERT_TRUE(replay.ok()) << replay.failure_reason;
 
     Speck full(sim::DeviceSpec::titan_v(), sim::CostModel{}, cfg);
     const SpGemmResult whole = full.multiply(a, a);
@@ -365,29 +405,34 @@ TEST(PlanReuse, PlanRecordsRectangularFingerprint) {
   EXPECT_EQ(static_cast<index_t>(plan.row_nnz.size()), a.rows());
 }
 
+// The sizing information of a symbolic-only run comes with every plan: the
+// exact row sizes and nnz of C, the product count and the simulated cost of
+// the structure-only stages.
 TEST(SymbolicEstimate, MatchesOracleCounts) {
   Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{});
   const Csr a = gen::power_law(300, 300, 7, 1.8, 80, 1901);
-  const SymbolicEstimate estimate = symbolic_estimate(speck, a, a);
+  const SpeckPlan plan = speck.plan(a, a);
+  ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
   const auto expected = gustavson_symbolic(a, a);
-  ASSERT_EQ(estimate.row_nnz.size(), expected.size());
+  ASSERT_EQ(plan.row_nnz.size(), expected.size());
   offset_t total = 0;
   for (std::size_t r = 0; r < expected.size(); ++r) {
-    EXPECT_EQ(estimate.row_nnz[r], expected[r]) << "row " << r;
+    EXPECT_EQ(plan.row_nnz[r], expected[r]) << "row " << r;
     total += expected[r];
   }
-  EXPECT_EQ(estimate.c_nnz, total);
-  EXPECT_GT(estimate.seconds, 0.0);
-  EXPECT_GT(estimate.products, estimate.c_nnz);  // compaction >= 1
+  EXPECT_EQ(plan.c_nnz(), total);
+  EXPECT_GT(plan.inspect_seconds, 0.0);
+  EXPECT_GT(plan.analysis.total_products, plan.c_nnz());  // compaction >= 1
 }
 
 TEST(SymbolicEstimate, CheaperThanFullMultiply) {
   Speck speck(sim::DeviceSpec::titan_v(), sim::CostModel{});
   const Csr a = gen::random_uniform(3000, 3000, 10, 1903);
-  const SymbolicEstimate estimate = symbolic_estimate(speck, a, a);
+  const SpeckPlan plan = speck.plan(a, a);
+  ASSERT_TRUE(plan.complete) << plan.incomplete_reason;
   const SpGemmResult full = speck.multiply(a, a);
   ASSERT_TRUE(full.ok());
-  EXPECT_LT(estimate.seconds, full.seconds);
+  EXPECT_LT(plan.inspect_seconds, full.seconds);
 }
 
 }  // namespace
